@@ -6,8 +6,8 @@ evaluators for the analytical misclassification bounds, and a Monte Carlo
 harness that validates those bounds by parameter sweep.
 """
 from .bounds import (BoundReport, bad_segment_length_upper, beta_fraction,
-                     beta_inverse, combined_upper, lemma_good0_prob,
-                     lemma_good1_prob, majority_tail_bounds,
+                     beta_inverse, bound_report, combined_upper,
+                     lemma_good0_prob, lemma_good1_prob, majority_tail_bounds,
                      majority_tail_exact, thm1_bounds, thm2_upper, thm3_upper)
 from .geometry import (Comb, Point, RoundedRect, SensorClass, ZoneArea,
                        ZoneLabel, build_comb, build_thin_rectangle,

@@ -1,9 +1,9 @@
 """Closed-form evaluators for the analytical misclassification bounds.
 
-Everything here is a pure function of scalars, so the bounds can be tabulated
-and unit-tested without running a simulation. Expected counts refer to the
-majority vote with neighborhood radius r over a Poisson field of intensity
-lam on the unit square.
+Everything here is a pure function of scalars or a region's shape constants,
+so the bounds can be tabulated and unit-tested without running a simulation.
+Expected counts refer to the majority vote with neighborhood radius r over a
+Poisson field of intensity lam on the unit square.
 """
 from __future__ import annotations
 
@@ -109,8 +109,8 @@ def combined_upper(lam: float, p: float, r: float, peri: float, components: int,
                    zr_area: float) -> BoundReport:
     """Sum of the outside-band and convex inside-band upper bounds.
 
-    Valid for convex regions with curvature radius >= r; the caller is
-    responsible for that geometric precondition.
+    Valid for convex regions with curvature radius >= r; bound_report
+    checks that geometric precondition.
     """
     area_outside = 1.0 - zr_area
     lower, upper = thm1_bounds(lam, p, r, area_outside)
@@ -124,6 +124,25 @@ def combined_upper(lam: float, p: float, r: float, peri: float, components: int,
         thm1_lower=lower, thm1_upper=upper,
         thm2_upper=t2, thm3_upper=t3,
         combined_upper=upper + t3,
+    )
+
+
+def bound_report(region, lam: float, p: float, r: float, zr_area: float) -> BoundReport:
+    """The bounds that apply to one (region, lam, p, r) cell; nan where one does not.
+
+    Theorem 3, and with it the combined bound, needs a convex region with
+    curvature radius >= r and p < 1/2. zr_area is the area of Z_r within Y.
+    """
+    peri, components = region.perimeter, region.components
+    if getattr(region, "convex", False) and region.min_curvature_radius >= r and p < 0.5:
+        return combined_upper(lam, p, r, peri, components, zr_area)
+    lower, upper = thm1_bounds(lam, p, r, 1.0 - zr_area)
+    return BoundReport(
+        lam=lam, p=p, r=r, peri=peri, components=components,
+        zr_area=zr_area, area_outside=1.0 - zr_area,
+        thm1_lower=lower, thm1_upper=upper,
+        thm2_upper=thm2_upper(lam, r, peri, components),
+        thm3_upper=math.nan, combined_upper=math.nan,
     )
 
 

@@ -13,13 +13,13 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .geometry import (Comb, RoundedRect, build_comb, build_thin_rectangle,
+from .geometry import (RoundedRect, build_comb, build_thin_rectangle,
                        dubious_zone_area, region_xl, region_xs)
-from .harness import (SimConfig, best_radius, run_trial, run_trial_field,
-                      sweep, write_sweep_csv, _fmt)
+from .harness import (METRIC_FIELDS, SimConfig, best_radius, run_trial,
+                      run_trial_field, sweep, write_sweep_csv, _fmt)
 from .render import render_field
 from .sampling import write_field_csv
-from .vote import SINGLE_ROUND, VoteMode, multi_round_mode, round_count
+from .vote import SINGLE_ROUND, multi_round_mode, round_count
 
 
 class ConfigError(Exception):
@@ -149,14 +149,12 @@ def _open_out(path):
 
 def cmd_simulate(args) -> int:
     config = build_sim_config(args)
-    rows = [run_trial(config, t) for t in range(config.trials)]
+    field, _, first = run_trial_field(config, 0)
     if args.dump_field:
-        field, _, _ = run_trial_field(config, 0)
         write_field_csv(field, args.dump_field)
+    rows = [first] + [run_trial(config, t) for t in range(1, config.trials)]
     agg = {}
-    for name in ("n_sensors", "initial_errors", "final_errors", "corrected",
-                 "new_errors", "errors_in_zr", "errors_in_zr_and_x",
-                 "errors_outside_zr", "correction_rate", "gross_correction_rate"):
+    for name in METRIC_FIELDS:
         vals = np.array([getattr(m, name) for m in rows], dtype=float)
         agg[name] = (vals.mean(), vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0)
     print(f"region={config.region.name} lambda={_fmt(config.lam)} p={_fmt(config.p)} "
@@ -184,8 +182,8 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"unknown sweep region {name!r} (expected xs or xl)")
     if not regions:
         regions = [region_xs(), region_xl()]
-    result = sweep(config, r_values, p_values, lam_values, regions,
-                   workers=args.workers)
+    result = sweep(r_values, p_values, lam_values, regions, seed=config.seed,
+                   trials=config.trials, mode=config.mode, workers=args.workers)
     fh, close = _open_out(args.out)
     try:
         write_sweep_csv(result, fh)
@@ -209,21 +207,14 @@ def cmd_bounds(args) -> int:
     try:
         fh.write("region,lambda,p,r,zr_area,area_outside,thm1_upper,thm1_lower,"
                  "thm2_upper,thm3_upper,combined_upper\n")
+        zr_areas = {r: dubious_zone_area(region, r).value for r in r_values}
         for lam in lam_values:
             for p in p_values:
                 for r in r_values:
-                    zr = dubious_zone_area(region, r).value
-                    lower, upper = bounds_mod.thm1_bounds(lam, p, r, 1.0 - zr)
-                    t2 = bounds_mod.thm2_upper(lam, r, region.perimeter, region.components)
-                    if getattr(region, "convex", False) and \
-                            region.min_curvature_radius >= r and p < 0.5:
-                        t3 = bounds_mod.thm3_upper(lam, p, r, region.perimeter)
-                        comb_val = upper + t3
-                    else:
-                        t3 = math.nan
-                        comb_val = math.nan
-                    cells = [region.name, lam, p, r, zr, 1.0 - zr,
-                             upper, lower, t2, t3, comb_val]
+                    b = bounds_mod.bound_report(region, lam, p, r, zr_areas[r])
+                    cells = [region.name, lam, p, r, b.zr_area, b.area_outside,
+                             b.thm1_upper, b.thm1_lower, b.thm2_upper, b.thm3_upper,
+                             b.combined_upper]
                     fh.write(",".join(_fmt(v) for v in cells) + "\n")
     finally:
         if close:

@@ -576,8 +576,11 @@ class ZoneArea:
 
 
 def _zone_clips_unit_square(region, r: float) -> bool:
+    # tol absorbs rounding in the bbox: XL's band at r = 0.1 touches bd(Y)
+    # exactly, but 0.5 - 0.4 - 0.1 evaluates to -2.8e-17
+    tol = 1e-12
     x0, y0, x1, y1 = region.bbox()
-    return x0 - r < 0.0 or y0 - r < 0.0 or x1 + r > 1.0 or y1 + r > 1.0
+    return x0 - r < -tol or y0 - r < -tol or x1 + r > 1.0 + tol or y1 + r > 1.0 + tol
 
 
 def _zone_area_mc(region, r: float, samples: int, seed: int) -> float:

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from . import bounds as bounds_mod
+from .bounds import bound_report
 from .geometry import dubious_zone_area
-from .neighborhood import NeighborIndex, build_index
-from .sampling import _STREAM_FLIPS, _stream, assign_measurements, sample_field
+from .neighborhood import build_index
+from .sampling import assign_measurements, sample_field
 from .vote import SINGLE_ROUND, VoteMode, run_vote
 
 
@@ -114,20 +113,13 @@ def compute_metrics(truth, measured, decided, signed_dist, r: float) -> TrialMet
 
 def run_trial(config: SimConfig, trial_index: int = 0) -> TrialMetrics:
     """Sample, measure, index, vote, and score one trial (fully deterministic)."""
-    seed = trial_seed(config.seed, config.lam, trial_index)
-    field = sample_field(config.lam, seed)
-    field = assign_measurements(field, config.region, config.p, seed)
-    index = build_index(field, config.r)
-    outcome = run_vote(field, index, config.mode)
-    return compute_metrics(field.truth, field.measured, outcome.decided,
-                           field.boundary_dist, config.r)
+    return run_trial_field(config, trial_index)[2]
 
 
 def run_trial_field(config: SimConfig, trial_index: int = 0):
     """Like run_trial but also returns the field and vote outcome (for rendering)."""
     seed = trial_seed(config.seed, config.lam, trial_index)
-    field = sample_field(config.lam, seed)
-    field = assign_measurements(field, config.region, config.p, seed)
+    field = assign_measurements(sample_field(config.lam, seed), config.region, config.p, seed)
     index = build_index(field, config.r)
     outcome = run_vote(field, index, config.mode)
     metrics = compute_metrics(field.truth, field.measured, outcome.decided,
@@ -187,47 +179,29 @@ class SweepResult:
 
 
 def _field_unit(master_seed, lam, trial, regions, p_values, r_values, mode):
-    """All metrics for one sampled field across every (region, p, r) cell."""
+    """All metrics for one sampled field across every (region, p, r) cell.
+
+    The steps are run_trial's; the cells share the field and one pair listing
+    at the largest radius, which `within` cuts down to each smaller one.
+    """
     seed = trial_seed(master_seed, lam, trial)
     field = sample_field(lam, seed)
-    n = field.n
-    u = _stream(seed, _STREAM_FLIPS).random(n)
-
-    r_max = max(r_values)
-    if n:
-        tree = cKDTree(np.column_stack((field.x, field.y)))
-        raw = tree.query_pairs(r_max, output_type="ndarray")
-        order = np.lexsort((raw[:, 1], raw[:, 0]))
-        raw = raw[order]
-        pi = raw[:, 0].astype(np.int32)
-        pj = raw[:, 1].astype(np.int32)
-        dist = np.hypot(field.x[pi] - field.x[pj], field.y[pi] - field.y[pj])
-    else:
-        pi = pj = np.empty(0, dtype=np.int32)
-        dist = np.empty(0)
-
-    indexes = []
-    for r in r_values:
-        mask = dist <= r
-        indexes.append(NeighborIndex.from_pairs(field, r, pi[mask], pj[mask]))
-
+    widest = build_index(field, max(r_values))
+    indexes = [widest.within(r) for r in r_values]
     out = np.empty((len(regions), len(p_values), len(r_values), len(METRIC_FIELDS)))
     for gi, region in enumerate(regions):
-        sd = np.asarray(region.signed_distance(field.x, field.y), dtype=float)
-        truth = sd >= 0.0
-        for pi_idx, p in enumerate(p_values):
-            measured = truth ^ (u < p)
-            fld = replace(field, p=float(p), truth=truth, measured=measured,
-                          boundary_dist=sd, region_name=region.name)
-            for ri, r in enumerate(r_values):
-                outcome = run_vote(fld, indexes[ri], mode)
-                m = compute_metrics(truth, measured, outcome.decided, sd, r)
-                out[gi, pi_idx, ri] = [getattr(m, f) for f in METRIC_FIELDS]
+        for pi, p in enumerate(p_values):
+            measured = assign_measurements(field, region, p, seed)
+            for ri, index in enumerate(indexes):
+                outcome = run_vote(measured, index, mode)
+                m = compute_metrics(measured.truth, measured.measured, outcome.decided,
+                                    measured.boundary_dist, index.r)
+                out[gi, pi, ri] = [getattr(m, f) for f in METRIC_FIELDS]
     return out
 
 
-def sweep(base: SimConfig, r_values, p_values, lam_values, regions,
-          workers: int = 1) -> SweepResult:
+def sweep(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int = 1,
+          mode: VoteMode = SINGLE_ROUND, workers: int = 1) -> SweepResult:
     """Cartesian sweep with per-cell trial aggregation and bound reports.
 
     Work units are (lam, trial) fields; each unit evaluates every region, p,
@@ -240,7 +214,8 @@ def sweep(base: SimConfig, r_values, p_values, lam_values, regions,
     regions = tuple(regions)
     if not (r_values and p_values and lam_values and regions):
         raise ValueError("sweep grids must be nonempty")
-    trials = base.trials
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     shape = (len(regions), len(lam_values), len(p_values), len(r_values),
              trials, len(METRIC_FIELDS))
     per_trial = np.empty(shape)
@@ -249,62 +224,40 @@ def sweep(base: SimConfig, r_values, p_values, lam_values, regions,
     if workers <= 1:
         for li, lam, t in units:
             per_trial[:, li, :, :, t, :] = _field_unit(
-                base.seed, lam, t, regions, p_values, r_values, base.mode)
+                seed, lam, t, regions, p_values, r_values, mode)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                (li, t): pool.submit(_field_unit, base.seed, lam, t,
-                                     regions, p_values, r_values, base.mode)
+                (li, t): pool.submit(_field_unit, seed, lam, t,
+                                     regions, p_values, r_values, mode)
                 for li, lam, t in units
             }
             for (li, t), fut in futures.items():
                 per_trial[:, li, :, :, t, :] = fut.result()
 
-    zone_cache: dict[tuple[int, float], float] = {}
     rows = []
-    idx = {name: k for k, name in enumerate(METRIC_FIELDS)}
+    fi = METRIC_FIELDS.index("final_errors")
     for gi, region in enumerate(regions):
+        zr_areas = [dubious_zone_area(region, r).value for r in r_values]
         for li, lam in enumerate(lam_values):
-            for pi_idx, p in enumerate(p_values):
+            for pi, p in enumerate(p_values):
                 for ri, r in enumerate(r_values):
-                    cell = per_trial[gi, li, pi_idx, ri]  # (trials, metrics)
-                    means = cell.mean(axis=0)
-                    fe = cell[:, idx["final_errors"]]
+                    cell = per_trial[gi, li, pi, ri]  # (trials, metrics)
+                    means = {f"{name}_mean": float(v)
+                             for name, v in zip(METRIC_FIELDS, cell.mean(axis=0))}
+                    fe = cell[:, fi]
                     se = float(fe.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-                    key = (gi, r)
-                    if key not in zone_cache:
-                        zone_cache[key] = dubious_zone_area(region, r).value
-                    zr_area = zone_cache[key]
-                    convex_ok = getattr(region, "convex", False) and \
-                        region.min_curvature_radius >= r
-                    lower, upper = bounds_mod.thm1_bounds(lam, p, r, 1.0 - zr_area)
-                    t2 = bounds_mod.thm2_upper(lam, r, region.perimeter, region.components)
-                    if convex_ok and p < 0.5 and region.perimeter > r:
-                        t3 = bounds_mod.thm3_upper(lam, p, r, region.perimeter)
-                        comb = upper + t3
-                    else:
-                        t3 = math.nan
-                        comb = math.nan
+                    b = bound_report(region, lam, p, r, zr_areas[ri])
                     rows.append(SweepRow(
                         region=region.name, lam=lam, p=p, r=r,
-                        mode=base.mode.kind, trials=trials,
-                        n_sensors_mean=float(means[idx["n_sensors"]]),
-                        initial_errors_mean=float(means[idx["initial_errors"]]),
-                        final_errors_mean=float(means[idx["final_errors"]]),
-                        final_errors_se=se,
-                        corrected_mean=float(means[idx["corrected"]]),
-                        new_errors_mean=float(means[idx["new_errors"]]),
-                        errors_in_zr_mean=float(means[idx["errors_in_zr"]]),
-                        errors_in_zr_and_x_mean=float(means[idx["errors_in_zr_and_x"]]),
-                        errors_outside_zr_mean=float(means[idx["errors_outside_zr"]]),
-                        correction_rate_mean=float(means[idx["correction_rate"]]),
-                        gross_correction_rate_mean=float(means[idx["gross_correction_rate"]]),
-                        thm1_upper=upper, thm1_lower=lower,
-                        thm2_upper=t2, thm3_upper=t3, combined_upper=comb,
+                        mode=mode.kind, trials=trials, final_errors_se=se, **means,
+                        thm1_upper=b.thm1_upper, thm1_lower=b.thm1_lower,
+                        thm2_upper=b.thm2_upper, thm3_upper=b.thm3_upper,
+                        combined_upper=b.combined_upper,
                     ))
     return SweepResult(rows=rows, regions=regions, lam_values=lam_values,
-                       p_values=p_values, r_values=r_values, mode=base.mode,
-                       seed=base.seed, trials=trials, per_trial=per_trial)
+                       p_values=p_values, r_values=r_values, mode=mode,
+                       seed=seed, trials=trials, per_trial=per_trial)
 
 
 def best_radius(result: SweepResult, p: float, tie_se: float = 3.0) -> tuple[float, float]:

@@ -18,6 +18,7 @@ from scipy.stats import poisson
 
 from boundaryvote.bounds import (beta_fraction, majority_tail_bounds,
                                  majority_tail_exact)
+from boundaryvote.cli import PAPER_LAM_GRID, PAPER_P_GRID, PAPER_R_GRID
 from boundaryvote.geometry import (build_comb, build_thin_rectangle,
                                    dubious_zone_area, region_xl, region_xs)
 from boundaryvote.geometry import _zone_area_mc
@@ -31,10 +32,6 @@ F_FINAL = METRIC_FIELDS.index("final_errors")
 F_IN_ZR = METRIC_FIELDS.index("errors_in_zr")
 F_OUT_ZR = METRIC_FIELDS.index("errors_outside_zr")
 
-PAPER_R_GRID = tuple(round(0.005 * k, 10) for k in range(1, 21))
-PAPER_P_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35)
-PAPER_LAM_GRID = (2500.0, 5000.0, 10000.0, 20000.0)
-
 
 def report(criterion, ok, detail):
     print(f"[acceptance] criterion {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -44,19 +41,15 @@ def report(criterion, ok, detail):
 @pytest.fixture(scope="session")
 def dominance_sweep():
     """Criteria 3/4 grid: X_S, 200 trials per cell."""
-    base = SimConfig(lam=2500.0, p=0.05, r=0.03, region=region_xs(),
-                     seed=0, trials=200)
-    return sweep(base, (0.03, 0.05, 0.08), (0.05, 0.15, 0.25),
-                 (2500.0, 10000.0), (region_xs(),))
+    return sweep((0.03, 0.05, 0.08), (0.05, 0.15, 0.25),
+                 (2500.0, 10000.0), (region_xs(),), seed=0, trials=200)
 
 
 @pytest.fixture(scope="session")
 def paper_sweep():
     """Criteria 6/7 sweep: the full paper grid at 20 trials per cell."""
-    base = SimConfig(lam=2500.0, p=0.15, r=0.05, region=region_xs(),
-                     seed=0, trials=20)
-    return sweep(base, PAPER_R_GRID, PAPER_P_GRID, PAPER_LAM_GRID,
-                 (region_xs(), region_xl()))
+    return sweep(PAPER_R_GRID, PAPER_P_GRID, PAPER_LAM_GRID,
+                 (region_xs(), region_xl()), seed=0, trials=20)
 
 
 def test_criterion_01_lemma1_bracketing():
@@ -284,12 +277,9 @@ def test_criterion_07_best_radius_table(paper_sweep):
 def test_criterion_08_multi_round_improvement():
     rs = (0.01, 0.015, 0.02, 0.025, 0.03)
     ps = (0.30, 0.35)
-    single = sweep(SimConfig(lam=10000.0, p=0.3, r=0.02, region=region_xs(),
-                             seed=0, trials=50),
-                   rs, ps, (10000.0,), (region_xs(),))
-    multi = sweep(SimConfig(lam=10000.0, p=0.3, r=0.02, region=region_xs(),
-                            seed=0, trials=50, mode=multi_round_mode(0.5)),
-                  rs, ps, (10000.0,), (region_xs(),))
+    single = sweep(rs, ps, (10000.0,), (region_xs(),), seed=0, trials=50)
+    multi = sweep(rs, ps, (10000.0,), (region_xs(),), seed=0, trials=50,
+                  mode=multi_round_mode(0.5))
     net_s = float(np.mean([r.correction_rate_mean for r in single.rows]))
     net_m = float(np.mean([r.correction_rate_mean for r in multi.rows]))
     ok_gain = net_m - net_s >= 0.05
@@ -343,12 +333,10 @@ def test_criterion_09_geometry_analytics_cross_checks():
 
 
 def test_criterion_10_sweep_determinism():
-    base = SimConfig(lam=2500.0, p=0.1, r=0.02, region=region_xs(),
-                     seed=12345, trials=5)
     args = ((0.02, 0.05), (0.1, 0.2), (2500.0,), (region_xs(), region_xl()))
-    first = sweep_csv_string(sweep(base, *args, workers=1))
-    second = sweep_csv_string(sweep(base, *args, workers=1))
-    third = sweep_csv_string(sweep(base, *args, workers=2))
+    first = sweep_csv_string(sweep(*args, seed=12345, trials=5, workers=1))
+    second = sweep_csv_string(sweep(*args, seed=12345, trials=5, workers=1))
+    third = sweep_csv_string(sweep(*args, seed=12345, trials=5, workers=2))
     ok = first == second == third
     assert report(10, ok, f"{len(first.splitlines()) - 1} rows byte-identical "
                           f"across reruns and worker counts")

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from boundaryvote.geometry import build_comb, build_thin_rectangle, region_xs
 from boundaryvote.bounds import (bad_segment_length_upper, beta_fraction,
-                                 beta_inverse, combined_upper,
+                                 beta_inverse, bound_report, combined_upper,
                                  lemma_good0_prob, lemma_good1_prob,
                                  majority_tail_bounds, majority_tail_exact,
                                  thm1_bounds, thm2_upper, thm3_upper)
@@ -184,6 +185,26 @@ class TestCombined:
         report = combined_upper(10000, 0.0, 0.05, XS_PERI, 1, 0.14)
         assert report.thm1_upper == 0.0
         assert report.combined_upper == report.thm3_upper
+
+
+class TestBoundReport:
+    def test_convex_region_matches_combined_upper(self):
+        xs = region_xs()
+        for lam, p, r in itertools.product((2500.0, 20000.0), (0.05, 0.35), (0.01, 0.1)):
+            zr = 2 * r * xs.perimeter
+            want = combined_upper(lam, p, r, xs.perimeter, xs.components, zr)
+            assert bound_report(xs, lam, p, r, zr) == want
+
+    @pytest.mark.parametrize("region,p", [
+        (build_comb(0.05, 0.4), 0.15), (build_thin_rectangle(0.05), 0.15), (region_xs(), 0.5),
+    ], ids=["comb", "thin_rect", "xs_p_half"])
+    def test_theorem3_nan_outside_its_conditions(self, region, p):
+        report = bound_report(region, 10000.0, p, 0.05, 0.2)
+        assert math.isnan(report.thm3_upper) and math.isnan(report.combined_upper)
+        lower, upper = thm1_bounds(10000.0, p, 0.05, 0.8)
+        assert (report.thm1_lower, report.thm1_upper) == (lower, upper)
+        assert report.thm2_upper == thm2_upper(10000.0, 0.05, region.perimeter,
+                                               region.components)
 
 
 class TestLemmas:

@@ -140,6 +140,18 @@ class TestBoundsCommand:
         line = capsys.readouterr().out.splitlines()[1]
         assert line.split(",")[9] == "nan"
 
+    def test_line_matches_sweep_row(self, capsys):
+        grid = ["--lambda-values", "2500", "--p-values", "0.15", "--r-values", "0.05,0.1"]
+        assert main(["bounds", "--region-type", "xl", *grid]) == 0
+        bounds_lines = capsys.readouterr().out.splitlines()
+        assert main(["sweep", "--regions", "xl", *grid]) == 0
+        sweep_lines = capsys.readouterr().out.splitlines()
+        assert len(bounds_lines) == len(sweep_lines) == 3
+        for b_line, s_line in zip(bounds_lines[1:], sweep_lines[1:]):
+            b_cells, s_cells = b_line.split(","), s_line.split(",")
+            assert b_cells[:4] == s_cells[:4]  # region, lambda, p, r
+            assert b_cells[6:] == s_cells[-5:]  # thm1 upper/lower, thm2, thm3, combined
+
 
 class TestWorstcaseCommand:
     def test_thin_rectangle(self, capsys):

@@ -172,6 +172,15 @@ class TestZoneArea:
         assert za.analytic
         assert za.value == pytest.approx(9 * r * r + math.pi * r * r + 2 * r * r, abs=1e-12)
 
+    def test_xl_band_touching_unit_square_is_analytic(self):
+        # XL's band at r = 0.1 reaches bd(Y) exactly; rounding in its bbox
+        # must not send it to the Monte Carlo fallback
+        xl, r = region_xl(), 0.1
+        za = dubious_zone_area(xl, r)
+        assert za.analytic and not za.clipped
+        assert za.value == xl.perimeter * r + math.pi * r * r + xl.area - xl.eroded_area(r)
+        assert za.value == pytest.approx(0.3656637061435918, abs=1e-15)
+
     def test_clipped_band_falls_back_to_estimate(self):
         region = RoundedRect(0.5, 0.5, 0.9, 0.9, 0.1)
         za = dubious_zone_area(region, 0.08, mc_samples=250_000)

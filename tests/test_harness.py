@@ -1,14 +1,16 @@
 """Harness tests: metrics accounting, seeding, sweeps, CSV determinism."""
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from boundaryvote.geometry import build_thin_rectangle, region_xl, region_xs
-from boundaryvote.harness import (CSV_COLUMNS, SimConfig, best_radius,
-                                  compute_metrics, run_trial, run_trial_field,
-                                  sweep, sweep_csv_string, trial_seed)
+from boundaryvote.harness import (CSV_COLUMNS, METRIC_FIELDS, SimConfig,
+                                  best_radius, compute_metrics, run_trial,
+                                  run_trial_field, sweep, sweep_csv_string,
+                                  trial_seed)
 from boundaryvote.vote import multi_round_mode
 
 
@@ -16,6 +18,20 @@ def small_config(**kw):
     defaults = dict(lam=800.0, p=0.2, r=0.05, region=region_xs(), seed=7, trials=1)
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+# every radius below r_max = 0.05 reads a cut of the r_max pair listing
+RADII = (0.01, 0.02, 0.03, 0.035, 0.05)
+
+
+def assert_sweep_matches_run_trial(result, cfg):
+    """Each radius's sweep row equals the mean of run_trial at that radius."""
+    for r in result.r_values:
+        trials = [run_trial(replace(cfg, r=r), t) for t in range(cfg.trials)]
+        row = result.row(cfg.region.name, cfg.lam, cfg.p, r)
+        for name in METRIC_FIELDS:
+            want = np.mean([getattr(m, name) for m in trials])
+            assert getattr(row, name + "_mean") == pytest.approx(want, abs=1e-12), (r, name)
 
 
 class TestTrialMetrics:
@@ -89,30 +105,23 @@ class TestSeeding:
 
 class TestSweep:
     def test_single_cell_matches_run_trial(self):
-        cfg = small_config(trials=5)
-        result = sweep(cfg, (cfg.r,), (cfg.p,), (cfg.lam,), (cfg.region,))
-        row = result.rows[0]
-        trials = [run_trial(cfg, t) for t in range(5)]
-        assert row.final_errors_mean == pytest.approx(
-            np.mean([m.final_errors for m in trials]), abs=1e-12)
-        assert row.initial_errors_mean == pytest.approx(
-            np.mean([m.initial_errors for m in trials]), abs=1e-12)
-        assert row.correction_rate_mean == pytest.approx(
-            np.mean([m.correction_rate for m in trials]), abs=1e-12)
-        assert row.errors_in_zr_mean == pytest.approx(
-            np.mean([m.errors_in_zr for m in trials]), abs=1e-12)
+        for lam in (800.0, 0.01):  # lam = 0.01 samples no sensor
+            cfg = small_config(trials=5, lam=lam)
+            result = sweep(RADII, (cfg.p,), (cfg.lam,), (cfg.region,),
+                           seed=cfg.seed, trials=cfg.trials)
+            assert_sweep_matches_run_trial(result, cfg)
 
     def test_multi_mode_single_cell_matches_run_trial(self):
-        cfg = small_config(trials=3, p=0.3, r=0.02, mode=multi_round_mode(0.5))
-        result = sweep(cfg, (cfg.r,), (cfg.p,), (cfg.lam,), (cfg.region,))
-        trials = [run_trial(cfg, t) for t in range(3)]
-        assert result.rows[0].final_errors_mean == pytest.approx(
-            np.mean([m.final_errors for m in trials]), abs=1e-12)
+        for lam in (800.0, 0.01):
+            cfg = small_config(trials=3, lam=lam, p=0.3, r=0.02, mode=multi_round_mode(0.5))
+            result = sweep(RADII, (cfg.p,), (cfg.lam,), (cfg.region,),
+                           seed=cfg.seed, trials=cfg.trials, mode=cfg.mode)
+            assert_sweep_matches_run_trial(result, cfg)
 
     def test_row_order_and_count(self):
         cfg = small_config(trials=2)
-        result = sweep(cfg, (0.03, 0.05), (0.1, 0.2), (500.0, 800.0),
-                       (region_xs(), region_xl()))
+        result = sweep((0.03, 0.05), (0.1, 0.2), (500.0, 800.0),
+                       (region_xs(), region_xl()), seed=cfg.seed, trials=cfg.trials)
         assert len(result.rows) == 16
         keys = [(r.region, r.lam, r.p, r.r) for r in result.rows]
         assert keys[0] == ("XS", 500.0, 0.1, 0.03)
@@ -122,7 +131,8 @@ class TestSweep:
 
     def test_bounds_attached(self):
         cfg = small_config(trials=2)
-        result = sweep(cfg, (0.05,), (0.15,), (1000.0,), (region_xs(),))
+        result = sweep((0.05,), (0.15,), (1000.0,), (region_xs(),),
+                       seed=cfg.seed, trials=cfg.trials)
         row = result.rows[0]
         assert row.thm1_lower <= row.thm1_upper
         assert row.thm2_upper > 0 and row.thm3_upper > 0
@@ -130,7 +140,8 @@ class TestSweep:
 
     def test_thm3_nan_when_curvature_violated(self):
         cfg = small_config(trials=1, region=build_thin_rectangle(0.05))
-        result = sweep(cfg, (0.05,), (0.15,), (1000.0,), (cfg.region,))
+        result = sweep((0.05,), (0.15,), (1000.0,), (cfg.region,),
+                       seed=cfg.seed, trials=cfg.trials)
         row = result.rows[0]
         assert math.isnan(row.thm3_upper) and math.isnan(row.combined_upper)
         assert row.thm2_upper > 0
@@ -138,21 +149,25 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         cfg = small_config()
         with pytest.raises(ValueError):
-            sweep(cfg, (), (0.1,), (500.0,), (region_xs(),))
+            sweep((), (0.1,), (500.0,), (region_xs(),), seed=cfg.seed, trials=cfg.trials)
+        with pytest.raises(ValueError):
+            sweep((0.05,), (0.1,), (500.0,), (region_xs(),), seed=cfg.seed, trials=0)
 
 
 class TestSweepDeterminism:
     def test_csv_byte_identical_across_runs_and_workers(self):
         cfg = small_config(trials=4, lam=2500.0)
         args = ((0.02, 0.05), (0.1, 0.25), (2500.0,), (region_xs(), region_xl()))
-        a = sweep_csv_string(sweep(cfg, *args, workers=1))
-        b = sweep_csv_string(sweep(cfg, *args, workers=1))
-        c = sweep_csv_string(sweep(cfg, *args, workers=2))
+        kw = dict(seed=cfg.seed, trials=cfg.trials)
+        a = sweep_csv_string(sweep(*args, **kw, workers=1))
+        b = sweep_csv_string(sweep(*args, **kw, workers=1))
+        c = sweep_csv_string(sweep(*args, **kw, workers=2))
         assert a == b == c
 
     def test_csv_header_exact(self):
         cfg = small_config(trials=1)
-        text = sweep_csv_string(sweep(cfg, (0.05,), (0.2,), (800.0,), (region_xs(),)))
+        text = sweep_csv_string(sweep((0.05,), (0.2,), (800.0,), (region_xs(),),
+                                      seed=cfg.seed, trials=cfg.trials))
         lines = text.splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert lines[0] == (
@@ -168,7 +183,8 @@ class TestSweepDeterminism:
 class TestBestRadius:
     def test_strict_argmin_on_synthetic_slice(self):
         cfg = small_config(trials=6, lam=2500.0)
-        result = sweep(cfg, (0.01, 0.04, 0.09), (0.15,), (2500.0,), (region_xs(),))
+        result = sweep((0.01, 0.04, 0.09), (0.15,), (2500.0,), (region_xs(),),
+                       seed=cfg.seed, trials=cfg.trials)
         lo, hi = best_radius(result, 0.15, tie_se=0.0)
         means = {row.r: row.final_errors_mean for row in result.rows}
         assert means[lo] == min(means.values())
@@ -176,14 +192,16 @@ class TestBestRadius:
 
     def test_tied_interval_contains_argmin(self):
         cfg = small_config(trials=6, lam=2500.0)
-        result = sweep(cfg, (0.02, 0.03, 0.04), (0.15,), (2500.0,), (region_xs(),))
+        result = sweep((0.02, 0.03, 0.04), (0.15,), (2500.0,), (region_xs(),),
+                       seed=cfg.seed, trials=cfg.trials)
         strict = best_radius(result, 0.15, tie_se=0.0)
         loose = best_radius(result, 0.15, tie_se=3.0)
         assert loose[0] <= strict[0] <= strict[1] <= loose[1]
 
     def test_missing_p_rejected(self):
         cfg = small_config(trials=1)
-        result = sweep(cfg, (0.05,), (0.2,), (800.0,), (region_xs(),))
+        result = sweep((0.05,), (0.2,), (800.0,), (region_xs(),),
+                       seed=cfg.seed, trials=cfg.trials)
         with pytest.raises(ValueError):
             best_radius(result, 0.1)
 
@@ -201,10 +219,8 @@ def test_thin_rectangle_band_errors_concentrate():
 
 @pytest.fixture(scope="module")
 def medium_sweep():
-    cfg = SimConfig(lam=2500.0, p=0.15, r=0.05, region=region_xs(),
-                    seed=2, trials=15)
-    return sweep(cfg, (0.02, 0.04, 0.06, 0.08), (0.15,),
-                 (2500.0, 10000.0), (region_xs(), region_xl()))
+    return sweep((0.02, 0.04, 0.06, 0.08), (0.15,),
+                 (2500.0, 10000.0), (region_xs(), region_xl()), seed=2, trials=15)
 
 
 class TestSweepStatisticalInvariants:

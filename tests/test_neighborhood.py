@@ -62,6 +62,37 @@ class TestExactness:
             assert np.all(np.diff(ids) > 0)
 
 
+class TestWithin:
+    @staticmethod
+    def boundary_field(r, n=3000, seed=43):
+        """Random pairs at distance r, nudged one ulp either way, among random sensors."""
+        rng = np.random.default_rng(seed)
+        x0, y0 = rng.uniform(0.2, 0.8, n), rng.uniform(0.2, 0.8, n)
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        x1 = x0 + r * np.cos(theta)
+        x1 = np.where(rng.random(n) < 0.5, np.nextafter(x1, 0.0), np.nextafter(x1, 1.0))
+        y1 = y0 + r * np.sin(theta)
+        return make_field(np.concatenate((x0, x1)), np.concatenate((y0, y1)))
+
+    def test_cut_lists_the_pairs_of_a_fresh_index(self):
+        r = 0.01
+        field = self.boundary_field(r)
+        d2 = (field.x[:3000] - field.x[3000:]) ** 2 + (field.y[:3000] - field.y[3000:]) ** 2
+        assert np.any(d2 <= r * r) and np.any(d2 > r * r)  # pairs on both sides
+        wide = build_index(field, 4 * r)
+        for radius in (r, 2 * r, 4 * r):
+            got, want = wide.within(radius).pairs, build_index(field, radius).pairs
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert got[0].dtype == np.int32
+
+    def test_radius_above_index_rejected(self):
+        index = build_index(make_field([0.5], [0.5]), 0.05)
+        with pytest.raises(ValueError):
+            index.within(0.06)
+        with pytest.raises(ValueError):
+            index.within(0.0)
+
+
 class TestEdgeCases:
     def test_empty_field(self):
         field = make_field([], [])
