@@ -13,8 +13,8 @@ from .geometry import (Comb, Point, RoundedRect, SensorClass, ZoneArea,
                        ZoneLabel, build_comb, build_thin_rectangle,
                        classify_good_bad, contains, distance_to_boundary,
                        dubious_zone_area, region_xl, region_xs, zone_of)
-from .harness import (SimConfig, SweepResult, SweepRow, TrialMetrics,
-                      best_radius, run_trial, run_trial_field, sweep,
+from .harness import (GridError, SimConfig, SweepResult, SweepRow, TrialMetrics,
+                      best_radius, bound_table, run_trial, run_trial_field, sweep,
                       sweep_csv_string, trial_seed, write_sweep_csv)
 from .neighborhood import NeighborIndex, build_index, neighbors_within
 from .render import render_field

@@ -2,7 +2,9 @@
 
 Configuration comes from an optional flat key=value file plus flags; flags
 override file values. Exit codes: 0 success, 2 configuration error, 3 I/O
-error.
+error. Each command checks its own inputs and reports a bad one as a
+configuration error; any other exception is a fault in the program and
+propagates with its traceback (exit code 1).
 """
 from __future__ import annotations
 
@@ -13,10 +15,9 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .geometry import (RoundedRect, build_comb, build_thin_rectangle,
-                       dubious_zone_area, region_xl, region_xs)
-from .harness import (METRIC_FIELDS, SimConfig, best_radius, run_trial,
-                      run_trial_field, sweep, write_sweep_csv, _fmt)
+from .geometry import RoundedRect, build_comb, build_thin_rectangle, region_xl, region_xs
+from .harness import (METRIC_FIELDS, GridError, SimConfig, best_radius, bound_table,
+                      run_trial, run_trial_field, sweep, write_sweep_csv, _fmt)
 from .render import render_field
 from .sampling import write_field_csv
 from .vote import SINGLE_ROUND, multi_round_mode, round_count
@@ -100,14 +101,11 @@ def build_sim_config(args) -> SimConfig:
     trials = _get(cfg, "trials", args.trials, 1, int)
     mode_name = _get(cfg, "mode", args.mode, "single", str).lower()
     c = _get(cfg, "c", args.c, 0.5, float)
-    if mode_name == "single":
-        mode = SINGLE_ROUND
-    elif mode_name == "multi":
-        mode = multi_round_mode(c)
-    else:
+    if mode_name not in ("single", "multi"):
         raise ConfigError(f"unknown mode {mode_name!r} (expected single or multi)")
     region = build_region(cfg, args, r)
     try:
+        mode = SINGLE_ROUND if mode_name == "single" else multi_round_mode(c)
         return SimConfig(lam=lam, p=p, r=r, region=region, mode=mode,
                          seed=seed, trials=trials)
     except ValueError as exc:
@@ -182,8 +180,11 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"unknown sweep region {name!r} (expected xs or xl)")
     if not regions:
         regions = [region_xs(), region_xl()]
-    result = sweep(r_values, p_values, lam_values, regions, seed=config.seed,
-                   trials=config.trials, mode=config.mode, workers=args.workers)
+    try:
+        result = sweep(r_values, p_values, lam_values, regions, seed=config.seed,
+                       trials=config.trials, mode=config.mode, workers=args.workers)
+    except GridError as exc:
+        raise ConfigError(str(exc)) from exc
     fh, close = _open_out(args.out)
     try:
         write_sweep_csv(result, fh)
@@ -203,19 +204,19 @@ def cmd_bounds(args) -> int:
     r_values = _floats(args.r_values) if args.r_values else PAPER_R_GRID
     p_values = _floats(args.p_values) if args.p_values else PAPER_P_GRID
     lam_values = _floats(args.lambda_values) if args.lambda_values else PAPER_LAM_GRID
+    try:
+        reports = bound_table(r_values, p_values, lam_values, [region])
+    except GridError as exc:
+        raise ConfigError(str(exc)) from exc
     fh, close = _open_out(args.out)
     try:
         fh.write("region,lambda,p,r,zr_area,area_outside,thm1_upper,thm1_lower,"
                  "thm2_upper,thm3_upper,combined_upper\n")
-        zr_areas = {r: dubious_zone_area(region, r).value for r in r_values}
-        for lam in lam_values:
-            for p in p_values:
-                for r in r_values:
-                    b = bounds_mod.bound_report(region, lam, p, r, zr_areas[r])
-                    cells = [region.name, lam, p, r, b.zr_area, b.area_outside,
-                             b.thm1_upper, b.thm1_lower, b.thm2_upper, b.thm3_upper,
-                             b.combined_upper]
-                    fh.write(",".join(_fmt(v) for v in cells) + "\n")
+        for b in reports:
+            cells = [region.name, b.lam, b.p, b.r, b.zr_area, b.area_outside,
+                     b.thm1_upper, b.thm1_lower, b.thm2_upper, b.thm3_upper,
+                     b.combined_upper]
+            fh.write(",".join(_fmt(v) for v in cells) + "\n")
     finally:
         if close:
             fh.close()
@@ -229,14 +230,13 @@ def cmd_worstcase(args) -> int:
     trials = args.trials if args.trials is not None else 200
     seed = args.seed if args.seed is not None else 0
     if args.shape == "thin":
-        region = build_thin_rectangle(r)
         lower_target = 0.5 * lam * r * r
         ell = math.nan
     else:
         ell = args.ell if args.ell is not None else 8 * r
-        region = build_comb(r, ell)
         lower_target = lam * ell * ell / 32.0
     try:
+        region = build_thin_rectangle(r) if args.shape == "thin" else build_comb(r, ell)
         config = SimConfig(lam=lam, p=p, r=r, region=region, seed=seed, trials=trials)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -260,6 +260,8 @@ def cmd_worstcase(args) -> int:
 
 def cmd_render(args) -> int:
     config = build_sim_config(args)
+    if args.trial < 0:
+        raise ConfigError(f"trial={args.trial} must be nonnegative")
     field, outcome, _ = run_trial_field(config, args.trial)
     render_field(field, outcome, config.region, args.out)
     return 0
@@ -323,9 +325,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -40,6 +40,8 @@ class SimConfig:
             raise ValueError("p must lie in [0, 1/2]")
         if self.r <= 0:
             raise ValueError("r must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
 
@@ -200,20 +202,53 @@ def _field_unit(master_seed, lam, trial, regions, p_values, r_values, mode):
     return out
 
 
+class GridError(ValueError):
+    """A sweep or bound-table grid value outside the domain of the model or its bounds."""
+
+
+def bound_table(r_values, p_values, lam_values, regions) -> list:
+    """Bound report of every grid cell, in sweep row order (region, lam, p, r).
+
+    Checks the grids first and evaluates no field, so a sweep whose grid or
+    bounds are out of domain fails with a GridError before it samples anything.
+    """
+    if not (r_values and p_values and lam_values and regions):
+        raise GridError("grids must be nonempty")
+    for lam in lam_values:
+        if not lam > 0:
+            raise GridError(f"lambda={lam} must be positive")
+    for p in p_values:
+        if not 0.0 <= p <= 0.5:
+            raise GridError(f"p={p} must lie in [0, 1/2]")
+    for r in r_values:
+        if not r > 0:
+            raise GridError(f"r={r} must be positive")
+    reports = []
+    for region in regions:
+        zr_areas = [dubious_zone_area(region, r).value for r in r_values]
+        for r, zr_area in zip(r_values, zr_areas):
+            if zr_area >= 1.0:  # Theorem 1 needs some area outside Z_r
+                raise GridError(f"Z_r of region {region.name} at r={r} covers Y")
+        reports += [bound_report(region, lam, p, r, zr_area)
+                    for lam in lam_values for p in p_values
+                    for r, zr_area in zip(r_values, zr_areas)]
+    return reports
+
+
 def sweep(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int = 1,
           mode: VoteMode = SINGLE_ROUND, workers: int = 1) -> SweepResult:
     """Cartesian sweep with per-cell trial aggregation and bound reports.
 
     Work units are (lam, trial) fields; each unit evaluates every region, p,
     and r on the same sampled positions. Reduction runs in fixed grid/trial
-    order, so the output is identical for any worker count.
+    order, so the output is identical for any worker count. The grids and
+    the bounds are checked before any field is sampled.
     """
     r_values = tuple(float(v) for v in r_values)
     p_values = tuple(float(v) for v in p_values)
     lam_values = tuple(float(v) for v in lam_values)
     regions = tuple(regions)
-    if not (r_values and p_values and lam_values and regions):
-        raise ValueError("sweep grids must be nonempty")
+    reports = iter(bound_table(r_values, p_values, lam_values, regions))
     if trials < 1:
         raise ValueError("trials must be at least 1")
     shape = (len(regions), len(lam_values), len(p_values), len(r_values),
@@ -238,7 +273,6 @@ def sweep(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int
     rows = []
     fi = METRIC_FIELDS.index("final_errors")
     for gi, region in enumerate(regions):
-        zr_areas = [dubious_zone_area(region, r).value for r in r_values]
         for li, lam in enumerate(lam_values):
             for pi, p in enumerate(p_values):
                 for ri, r in enumerate(r_values):
@@ -247,7 +281,7 @@ def sweep(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int
                              for name, v in zip(METRIC_FIELDS, cell.mean(axis=0))}
                     fe = cell[:, fi]
                     se = float(fe.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-                    b = bound_report(region, lam, p, r, zr_areas[ri])
+                    b = next(reports)
                     rows.append(SweepRow(
                         region=region.name, lam=lam, p=p, r=r,
                         mode=mode.kind, trials=trials, final_errors_se=se, **means,

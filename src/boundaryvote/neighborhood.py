@@ -5,9 +5,23 @@ dx*dx + dy*dy <= r*r, the k-d tree's own test, so two sensors at distance
 exactly r are neighbors. The bulk pair listing is cached so a whole field's
 neighbor sums cost one pass over the pair array, and `within` cuts a wide
 listing down to any smaller radius with the same test.
+
+A wide index with cuts answers `count_sums` for all of its radii from one
+prefix tally. Each listed pair is binned once by the smallest
+registered radius whose closed ball holds it, and the keys bin*n + i and
+bin*n + j are stored. One `bincount` per key array then a cumulative sum
+over the radius axis gives an (R, n) array whose row k is exactly the k-th
+radius's integer sums. The last tally is cached with a copy of its input
+vector and served again only to an equal vector, so the cuts of a field
+voting on one measurement vector share a single pass, and a vector changed
+in place is never answered from a stale tally. Registering a new radius
+drops the keys and the tally. `counts` reads the all-ones tally only once
+the keys exist; otherwise, as in multi-round voting, which never calls
+`count_sums`, it tallies the index's own listing and no keys are built.
 """
 from __future__ import annotations
 
+import bisect
 import copy
 
 import numpy as np
@@ -26,8 +40,13 @@ class NeighborIndex:
         self._tree: cKDTree | None = None
         self._pairs: tuple[np.ndarray, np.ndarray] | None = None
         self._counts: np.ndarray | None = None
-        self._wider: NeighborIndex | None = None  # index whose listing this one cuts
+        self._wider: NeighborIndex | None = None  # widest index, whose listing this one cuts
         self._sq_dist: np.ndarray | None = None   # squared length of each pair
+        # Prefix tally state, kept on the widest index only.
+        self._radii: list[float] = [self.r]        # its own and its cuts' radii, sorted
+        self._keys: tuple[np.ndarray, np.ndarray] | None = None
+        self._ones: np.ndarray | None = None       # (R, n) tally of an all-ones vector
+        self._last: tuple[np.ndarray, np.ndarray] | None = None  # (values, tally)
 
     @property
     def tree(self) -> cKDTree:
@@ -48,9 +67,13 @@ class NeighborIndex:
                 self._pairs = (empty, empty)
             else:
                 raw = self.tree.query_pairs(self.r, output_type="ndarray")
-                order = np.lexsort((raw[:, 1], raw[:, 0]))
+                # i < j, so the unique key i*n + j sorts exactly as (i, j) does
+                key = raw[:, 0] * self.n + raw[:, 1]
+                del raw  # one int64 copy of the listing at a time bounds peak memory
+                key.sort()
                 # int32 ids halve the memory of the listing and its cuts
-                self._pairs = (raw[order, 0].astype(np.int32), raw[order, 1].astype(np.int32))
+                self._pairs = ((key // self.n).astype(np.int32),
+                               (key % self.n).astype(np.int32))
         return self._pairs
 
     def _squared_distances(self) -> np.ndarray:
@@ -63,29 +86,68 @@ class NeighborIndex:
         return self._sq_dist
 
     def within(self, r: float) -> "NeighborIndex":
-        """Radius-r index (r <= self.r) whose pairs are cut from this index's listing.
+        """Radius-r index (r <= self.r) whose pairs are cut from the widest listing.
 
         The cut applies the closed-ball test to the cached squared distances
         and keeps the (i, j) order, so it lists exactly the pairs of a fresh
-        radius-r index, in the same order. The cut happens on first use;
-        within(self.r) is this index itself.
+        radius-r index, in the same order. The cut happens on first use, and
+        a single-round vote never needs it; within(self.r) is this index itself.
         """
         if not 0 < r <= self.r:
             raise ValueError(f"r={r} must lie in (0, {self.r}], the index radius")
         if r == self.r:
             return self
-        index = copy.copy(self)
-        index.r = float(r)
+        widest = self._wider or self
+        r = float(r)
+        if r not in widest._radii:
+            bisect.insort(widest._radii, r)
+            widest._keys = widest._ones = widest._last = None
+        index = copy.copy(widest)
+        index.r = r
         index._pairs = index._counts = index._sq_dist = None
-        index._wider = self
+        index._radii = index._keys = index._ones = index._last = None
+        index._wider = widest
         return index
+
+    def _bin_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Keys bin*n + i and bin*n + j of the listed pairs (widest index only)."""
+        if self._keys is None:
+            radii = np.array(self._radii)
+            bins = np.searchsorted(radii * radii, self._squared_distances(), side="left")
+            # a pair the tree lists at the widest radius belongs to that radius
+            np.minimum(bins, len(radii) - 1, out=bins)
+            bins *= self.n
+            i, j = self.pairs
+            key_i = bins + i
+            bins += j  # becomes key_j in place
+            self._keys = (key_i, bins)
+            self._ones = self._prefix_tally(*self._keys)
+        return self._keys
+
+    def _prefix_tally(self, keys_a: np.ndarray, keys_b: np.ndarray) -> np.ndarray:
+        """(R, n) per-sensor counts of the keyed pairs within each radius."""
+        size = len(self._radii) * self.n
+        flat = np.bincount(keys_a, minlength=size) + np.bincount(keys_b, minlength=size)
+        return np.cumsum(flat.reshape(len(self._radii), self.n), axis=0)
+
+    def _tally(self, values: np.ndarray) -> np.ndarray:
+        """(R, n) boolean neighbor sums at every registered radius (widest index only)."""
+        if self._last is None or not np.array_equal(self._last[0], values):
+            key_i, key_j = self._bin_keys()
+            i, j = self.pairs
+            self._last = (values.copy(), self._prefix_tally(key_i[values[j]], key_j[values[i]]))
+        return self._last[1]
 
     @property
     def counts(self) -> np.ndarray:
         """Neighbor count per sensor."""
         if self._counts is None:
-            i, j = self.pairs
-            self._counts = np.bincount(i, minlength=self.n) + np.bincount(j, minlength=self.n)
+            widest = self._wider or self
+            if widest._keys is not None:
+                self._counts = widest._ones[widest._radii.index(self.r)].copy()
+            else:
+                i, j = self.pairs
+                self._counts = np.bincount(i, minlength=self.n) + np.bincount(j, minlength=self.n)
         return self._counts
 
     def neighbors_within(self, s) -> np.ndarray:
@@ -98,9 +160,17 @@ class NeighborIndex:
         return out
 
     def count_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-sensor sums of an integer/bool per-neighbor quantity (exact)."""
+        """Per-sensor number of neighbors whose boolean value is true (exact).
+
+        An index with cuts reads its row of the widest index's prefix tally;
+        a lone radius has nothing to share, so it sums its own listing and
+        bins nothing.
+        """
+        v = np.asarray(values, dtype=bool)
+        widest = self._wider or self
+        if len(widest._radii) > 1:
+            return widest._tally(v)[widest._radii.index(self.r)].copy()
         i, j = self.pairs
-        v = np.asarray(values)
         sums = np.bincount(i[v[j]], minlength=self.n) + np.bincount(j[v[i]], minlength=self.n)
         return sums
 

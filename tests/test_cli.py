@@ -1,6 +1,7 @@
 """CLI tests: config parsing, flag precedence, exit codes, output formats."""
 import pytest
 
+from boundaryvote import harness
 from boundaryvote.cli import main
 from boundaryvote.harness import CSV_COLUMNS
 
@@ -70,6 +71,38 @@ class TestExitCodes:
         path = tmp_path / "bad.cfg"
         path.write_text("region.type = blob\n")
         assert main(["simulate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--mode", "multi", "--c", "0"],
+        ["simulate", "--seed", "-1"],
+        ["render", "--trial", "-1", "--out", "unused.svg"],
+        ["worstcase", "--shape", "comb", "--ell", "0.3", "--trials", "1"],
+        ["worstcase", "--shape", "thin", "--r", "0.4", "--trials", "1"],
+        ["sweep", "--lambda-values", "0", "--trials", "1"],
+        ["bounds", "--p-values", "0.7"],
+    ])
+    def test_bad_inputs_return_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "bounds"])
+    def test_band_covering_the_square_names_region_and_radius(self, command, monkeypatch, capsys):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a field before checking the bounds")
+
+        monkeypatch.setattr(harness, "sample_field", no_sampling)
+        assert main([command, "--r-values", "0.05,0.9,2.0", "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: Z_r of region XS at r=0.9 covers Y\n" in err
+
+    def test_internal_value_error_is_not_a_config_error(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("fault inside the numeric code")
+
+        monkeypatch.setattr(harness, "compute_metrics", broken)
+        with pytest.raises(ValueError, match="fault inside the numeric code"):
+            main(["simulate", "--lambda", "200", "--trials", "1"])
+        assert "config error" not in capsys.readouterr().err
 
     def test_unwritable_output_returns_3(self, capsys):
         rc = main(["sweep", "--lambda-values", "500", "--p-values", "0.1",

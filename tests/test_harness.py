@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from boundaryvote import harness
 from boundaryvote.geometry import build_thin_rectangle, region_xl, region_xs
 from boundaryvote.harness import (CSV_COLUMNS, METRIC_FIELDS, SimConfig,
                                   best_radius, compute_metrics, run_trial,
@@ -152,6 +153,22 @@ class TestSweep:
             sweep((), (0.1,), (500.0,), (region_xs(),), seed=cfg.seed, trials=cfg.trials)
         with pytest.raises(ValueError):
             sweep((0.05,), (0.1,), (500.0,), (region_xs(),), seed=cfg.seed, trials=0)
+
+    @pytest.mark.parametrize("grid, message", [
+        (((0.05,), (0.1,), (0.0,)), "lambda=0.0 must be positive"),
+        (((0.05,), (0.1,), (-500.0,)), "lambda=-500.0 must be positive"),
+        (((0.05,), (0.6,), (500.0,)), r"p=0.6 must lie in \[0, 1/2\]"),
+        (((0.05,), (-0.1,), (500.0,)), r"p=-0.1 must lie in \[0, 1/2\]"),
+        (((0.0, 0.05), (0.1,), (500.0,)), "r=0.0 must be positive"),
+        (((0.05, 0.9), (0.1,), (500.0,)), "Z_r of region XS at r=0.9 covers Y"),
+    ])
+    def test_bad_grid_rejected_before_sampling(self, monkeypatch, grid, message):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sweep sampled a field before checking its grid")
+
+        monkeypatch.setattr(harness, "sample_field", no_sampling)
+        with pytest.raises(harness.GridError, match=message):
+            sweep(*grid, (region_xs(),), seed=0, trials=1)
 
 
 class TestSweepDeterminism:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boundaryvote.geometry import region_xs
 from boundaryvote.neighborhood import build_index, neighbors_within
@@ -91,6 +93,71 @@ class TestWithin:
             index.within(0.06)
         with pytest.raises(ValueError):
             index.within(0.0)
+
+
+@st.composite
+def tally_case(draw):
+    """A small field, unsorted radii with duplicates and r_max, and boolean vectors."""
+    n = draw(st.integers(0, 60))
+    coords = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    field = make_field(draw(coords), draw(coords))
+    radii = draw(st.lists(st.floats(0.01, 0.5), min_size=1, max_size=6))
+    # radii exactly at some pair distances put pairs on the closed-ball edge
+    pos = np.column_stack((field.x, field.y))
+    d = np.hypot(*(pos[:, None, :] - pos[None, :, :]).T).ravel()
+    d = d[d > 0.0]
+    if d.size:
+        picks = st.sampled_from(sorted(set(d.tolist())))
+        radii += draw(st.lists(picks, max_size=4))
+    radii = draw(st.permutations(radii + draw(st.lists(st.sampled_from(radii), max_size=3))))
+    bools = st.lists(st.booleans(), min_size=n, max_size=n).map(lambda b: np.array(b, dtype=bool))
+    return field, radii, draw(bools), draw(bools), draw(st.floats(0.005, max(radii)))
+
+
+class TestPrefixTally:
+    """count_sums and counts on a wide index and its cuts equal a fresh index's."""
+
+    @staticmethod
+    def assert_matches_fresh(field, indexes, values):
+        for index in indexes:
+            fresh = build_index(field, index.r)
+            assert np.array_equal(index.count_sums(values), fresh.count_sums(values)), index.r
+            assert np.array_equal(index.counts, fresh.counts), index.r
+
+    @settings(max_examples=150, deadline=None)
+    @given(tally_case())
+    def test_cuts_match_fresh_indexes(self, case):
+        field, radii, first, second, late_r = case
+        wide = build_index(field, max(radii))
+        indexes = [wide] + [wide.within(r) for r in radii]
+        vector = first.copy()
+        self.assert_matches_fresh(field, indexes, vector)
+        self.assert_matches_fresh(field, indexes, vector)  # the same vector again
+        vector[:] = second  # changed in place: the cached tally must not answer
+        self.assert_matches_fresh(field, indexes, vector)
+        self.assert_matches_fresh(field, indexes, first)
+        indexes.append(wide.within(late_r))  # a radius registered after a tally
+        self.assert_matches_fresh(field, indexes, vector)
+        for index in indexes:
+            want = build_index(field, index.r).count_sums(first)
+            assert index.count_sums(first).dtype == want.dtype
+
+    def test_pairs_one_ulp_either_side_of_the_cuts(self):
+        r = 0.01
+        field = TestWithin.boundary_field(r)
+        wide = build_index(field, 4 * r)
+        indexes = [wide] + [wide.within(radius) for radius in (2 * r, r, 3 * r, r)]
+        values = np.random.default_rng(47).random(field.n) < 0.5
+        self.assert_matches_fresh(field, indexes, values)
+
+    def test_pairs_keep_the_lexsort_order(self):
+        rng = np.random.default_rng(59)
+        field = make_field(rng.random(3000), rng.random(3000))
+        index = build_index(field, 0.04)
+        raw = index.tree.query_pairs(0.04, output_type="ndarray")
+        order = np.lexsort((raw[:, 1], raw[:, 0]))
+        assert np.array_equal(index.pairs[0], raw[order, 0])
+        assert np.array_equal(index.pairs[1], raw[order, 1])
 
 
 class TestEdgeCases:
