@@ -15,9 +15,27 @@ radius's integer sums. The last tally is cached with a copy of its input
 vector and served again only to an equal vector, so the cuts of a field
 voting on one measurement vector share a single pass, and a vector changed
 in place is never answered from a stale tally. Registering a new radius
-drops the keys and the tally. `counts` reads the all-ones tally only once
-the keys exist; otherwise, as in multi-round voting, which never calls
-`count_sums`, it tallies the index's own listing and no keys are built.
+drops the keys and the tally.
+
+Multi-round voting sums real scores with two sparse matrix-vector products,
+`weighted_sums(v) = U @ v + U.T @ v`. U is the upper adjacency in CSR form:
+row i holds the neighbors j > i in ascending order, so its column indices
+are the (i, j)-sorted listing's j and its row pointers the cumulative
+`bincount(i)`. U.T is the same three arrays read as CSC, so it copies
+nothing. Row i of U @ v adds v[j] over j ascending, and the CSC product
+adds v[i] into row j over i ascending: the order in which two weighted
+`bincount`s over the listing add them, so the sums are the same bit for
+bit. One symmetric matrix U + U.T would interleave the two halves of each
+row and round differently, which can flip a tie at an exact-zero score. A
+cut keeps no listing once U exists; U's column indices hold its pairs at 4
+bytes each. Every U of a family shares one float64 array of ones, sized
+for the widest index, as its `data`. The arrays are set after construction
+because scipy's format check silently copies a view shorter than half of
+its base.
+
+`counts` is read from what the index already holds: the all-ones tally once
+keys exist, U's row pointers and column indices once U exists, and
+otherwise its own listing.
 """
 from __future__ import annotations
 
@@ -25,6 +43,7 @@ import bisect
 import copy
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial import cKDTree
 
 
@@ -47,6 +66,9 @@ class NeighborIndex:
         self._keys: tuple[np.ndarray, np.ndarray] | None = None
         self._ones: np.ndarray | None = None       # (R, n) tally of an all-ones vector
         self._last: tuple[np.ndarray, np.ndarray] | None = None  # (values, tally)
+        # Multi-round state: (U, U.T), and on the widest index the ones they share.
+        self._adjacency: tuple[sparse.csr_array, sparse.csc_array] | None = None
+        self._unit: np.ndarray | None = None
 
     @property
     def tree(self) -> cKDTree:
@@ -106,6 +128,7 @@ class NeighborIndex:
         index.r = r
         index._pairs = index._counts = index._sq_dist = None
         index._radii = index._keys = index._ones = index._last = None
+        index._adjacency = index._unit = None
         index._wider = widest
         return index
 
@@ -145,6 +168,9 @@ class NeighborIndex:
             widest = self._wider or self
             if widest._keys is not None:
                 self._counts = widest._ones[widest._radii.index(self.r)].copy()
+            elif self._adjacency is not None:
+                upper = self._adjacency[0]
+                self._counts = np.diff(upper.indptr) + np.bincount(upper.indices, minlength=self.n)
             else:
                 i, j = self.pairs
                 self._counts = np.bincount(i, minlength=self.n) + np.bincount(j, minlength=self.n)
@@ -174,14 +200,29 @@ class NeighborIndex:
         sums = np.bincount(i[v[j]], minlength=self.n) + np.bincount(j[v[i]], minlength=self.n)
         return sums
 
+    def _upper_and_lower(self) -> tuple[sparse.csr_array, sparse.csc_array]:
+        """U as CSR and U.T as CSC over the same arrays; a cut then drops its listing."""
+        if self._adjacency is None:
+            widest = self._wider or self
+            if widest._unit is None:
+                widest._unit = np.ones(widest.pairs[0].size)
+            i, j = self.pairs
+            indptr = np.zeros(self.n + 1, dtype=np.int32)  # int32, as the ids: no index copies
+            np.cumsum(np.bincount(i, minlength=self.n), out=indptr[1:])
+            shape = (self.n, self.n)
+            self._adjacency = (sparse.csr_array(shape), sparse.csc_array(shape))
+            for matrix in self._adjacency:
+                # set after construction: scipy's format check would copy a short view
+                matrix.data, matrix.indices, matrix.indptr = widest._unit[:i.size], j, indptr
+            if self._wider is not None:
+                self._pairs = None  # U's column indices and row pointers hold the pairs now
+        return self._adjacency
+
     def weighted_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-sensor sums of a real-valued per-neighbor quantity."""
-        i, j = self.pairs
+        """Per-sensor sums of a real-valued per-neighbor quantity, U @ v + U.T @ v."""
+        upper, lower = self._upper_and_lower()
         v = np.asarray(values, dtype=float)
-        return (
-            np.bincount(i, weights=v[j], minlength=self.n)
-            + np.bincount(j, weights=v[i], minlength=self.n)
-        )
+        return upper @ v + lower @ v
 
 
 def build_index(field, r: float) -> NeighborIndex:

@@ -181,6 +181,15 @@ class TestSweepDeterminism:
         c = sweep_csv_string(sweep(*args, **kw, workers=2))
         assert a == b == c
 
+    def test_multi_round_csv_byte_identical_across_runs_and_workers(self):
+        args = ((0.01, 0.02, 0.05), (0.1, 0.25), (2500.0,), (region_xs(), region_xl()))
+        kw = dict(seed=7, trials=2, mode=multi_round_mode(0.5))
+        a = sweep_csv_string(sweep(*args, **kw, workers=1))
+        b = sweep_csv_string(sweep(*args, **kw, workers=1))
+        c = sweep_csv_string(sweep(*args, **kw, workers=2))
+        assert ",multi," in a.splitlines()[1]
+        assert a == b == c
+
     def test_csv_header_exact(self):
         cfg = small_config(trials=1)
         text = sweep_csv_string(sweep((0.05,), (0.2,), (800.0,), (region_xs(),),

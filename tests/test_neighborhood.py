@@ -95,13 +95,12 @@ class TestWithin:
             index.within(0.0)
 
 
-@st.composite
-def tally_case(draw):
-    """A small field, unsorted radii with duplicates and r_max, and boolean vectors."""
+def draw_field_and_radii(draw, max_radii):
+    """A field of 0-60 sensors and radii, some exactly at its pair distances."""
     n = draw(st.integers(0, 60))
     coords = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
     field = make_field(draw(coords), draw(coords))
-    radii = draw(st.lists(st.floats(0.01, 0.5), min_size=1, max_size=6))
+    radii = draw(st.lists(st.floats(0.01, 0.5), min_size=1, max_size=max_radii))
     # radii exactly at some pair distances put pairs on the closed-ball edge
     pos = np.column_stack((field.x, field.y))
     d = np.hypot(*(pos[:, None, :] - pos[None, :, :]).T).ravel()
@@ -109,6 +108,13 @@ def tally_case(draw):
     if d.size:
         picks = st.sampled_from(sorted(set(d.tolist())))
         radii += draw(st.lists(picks, max_size=4))
+    return n, field, radii
+
+
+@st.composite
+def tally_case(draw):
+    """A small field, unsorted radii with duplicates and r_max, and boolean vectors."""
+    n, field, radii = draw_field_and_radii(draw, max_radii=6)
     radii = draw(st.permutations(radii + draw(st.lists(st.sampled_from(radii), max_size=3))))
     bools = st.lists(st.booleans(), min_size=n, max_size=n).map(lambda b: np.array(b, dtype=bool))
     return field, radii, draw(bools), draw(bools), draw(st.floats(0.005, max(radii)))
@@ -158,6 +164,47 @@ class TestPrefixTally:
         order = np.lexsort((raw[:, 1], raw[:, 0]))
         assert np.array_equal(index.pairs[0], raw[order, 0])
         assert np.array_equal(index.pairs[1], raw[order, 1])
+
+
+@st.composite
+def weighted_case(draw):
+    """A small field, radii at pair distances, score vectors with exact zeros, and a call order."""
+    n, field, radii = draw_field_and_radii(draw, max_radii=4)
+    scores = st.one_of(st.just(0.0), st.sampled_from((1.0, -1.0, -0.0)), st.floats(-1.0, 1.0))
+    vector = st.lists(scores, min_size=n, max_size=n).map(np.array)
+    return field, radii, draw(st.lists(vector, min_size=1, max_size=3)), draw(st.booleans())
+
+
+def bincount_sums(field, r, values):
+    """Reference weighted sums: two weighted bincounts over a fresh radius-r listing."""
+    i, j = build_index(field, r).pairs
+    return (np.bincount(i, weights=values[j], minlength=field.n)
+            + np.bincount(j, weights=values[i], minlength=field.n))
+
+
+class TestWeightedSums:
+    """weighted_sums on a wide index and its cuts equals the bincount reference bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_case())
+    def test_csr_sums_equal_two_weighted_bincounts(self, case):
+        field, radii, vectors, counts_first = case
+        wide = build_index(field, max(radii))
+        indexes = [wide] + [wide.within(r) for r in radii]
+        if counts_first:  # multi-round voting reads counts, from the listing, before any sum
+            for index in indexes:
+                index.counts
+        for values in vectors:
+            for index in indexes:
+                sums = index.weighted_sums(values)
+                assert sums.dtype == np.float64
+                assert np.array_equal(sums, bincount_sums(field, index.r, values)), index.r
+        for index in indexes:
+            if index is not wide:
+                assert index._pairs is None  # a cut keeps only U once it exists
+            want = build_index(field, index.r).counts
+            assert np.array_equal(index.counts, want), index.r
+            assert index.counts.dtype == want.dtype == np.int64
 
 
 class TestEdgeCases:
