@@ -7,15 +7,21 @@ neighbor sums cost one pass over the pair array, and `within` cuts a wide
 listing down to any smaller radius with the same test.
 
 A wide index with cuts answers `count_sums` for all of its radii from one
-prefix tally. Each listed pair is binned once by the smallest
-registered radius whose closed ball holds it, and the keys bin*n + i and
-bin*n + j are stored. One `bincount` per key array then a cumulative sum
-over the radius axis gives an (R, n) array whose row k is exactly the k-th
-radius's integer sums. The last tally is cached with a copy of its input
-vector and served again only to an equal vector, so the cuts of a field
-voting on one measurement vector share a single pass, and a vector changed
-in place is never answered from a stale tally. Registering a new radius
-drops the keys and the tally.
+prefix tally. Each listed pair is binned once by the smallest registered
+radius whose closed ball holds it, and the bins go into T, a sparse
+(R*n, n) matrix whose row bin*n + i holds the neighbors of sensor i in that
+bin: each pair is one entry in row bin*n + i and one in row bin*n + j. T is
+built by packing every entry as the int64 key ((bin*n + row) << s) | col,
+with s the bit length of n, and sorting the keys once. A tally is then one
+product T @ v over int32 entries and an int32 0/1 vector, which is exact,
+and a cumulative sum over the radius axis of the (R, n) result: its row k
+is exactly the k-th radius's integer sums. The all-ones tally is the same
+cumulative sum of T's row lengths. The last tally is cached with a copy of
+its input vector and served again only to an equal vector, so the cuts of a
+field voting on one measurement vector share a single pass, and a vector
+changed in place is never answered from a stale tally. Registering a new
+radius drops T and the tally. A lone radius has nothing to share; its
+`count_sums` is the multi-round product below over 0/1 values, also exact.
 
 Multi-round voting sums real scores with two sparse matrix-vector products,
 `weighted_sums(v) = U @ v + U.T @ v`. U is the upper adjacency in CSR form:
@@ -34,7 +40,7 @@ because scipy's format check silently copies a view shorter than half of
 its base.
 
 `counts` is read from what the index already holds: the all-ones tally once
-keys exist, U's row pointers and column indices once U exists, and
+T exists, U's row pointers and column indices once U exists, and
 otherwise its own listing.
 """
 from __future__ import annotations
@@ -63,7 +69,7 @@ class NeighborIndex:
         self._sq_dist: np.ndarray | None = None   # squared length of each pair
         # Prefix tally state, kept on the widest index only.
         self._radii: list[float] = [self.r]        # its own and its cuts' radii, sorted
-        self._keys: tuple[np.ndarray, np.ndarray] | None = None
+        self._table: sparse.csr_array | None = None  # T, the bin-major adjacency
         self._ones: np.ndarray | None = None       # (R, n) tally of an all-ones vector
         self._last: tuple[np.ndarray, np.ndarray] | None = None  # (values, tally)
         # Multi-round state: (U, U.T), and on the widest index the ones they share.
@@ -99,18 +105,21 @@ class NeighborIndex:
         return self._pairs
 
     def _squared_distances(self) -> np.ndarray:
-        """dx*dx + dy*dy of each pair in `pairs`, computed once."""
+        """dx*dx + dy*dy of each pair in `pairs`, cached until T's build frees it."""
         if self._sq_dist is None:
             i, j = self.pairs
             dx = self.positions[i, 0] - self.positions[j, 0]
             dy = self.positions[i, 1] - self.positions[j, 1]
-            self._sq_dist = dx * dx + dy * dy
+            dx *= dx  # in place: two pair-sized arrays at a time, not four
+            dy *= dy
+            dx += dy
+            self._sq_dist = dx
         return self._sq_dist
 
     def within(self, r: float) -> "NeighborIndex":
         """Radius-r index (r <= self.r) whose pairs are cut from the widest listing.
 
-        The cut applies the closed-ball test to the cached squared distances
+        The cut applies the closed-ball test to the widest index's squared distances
         and keeps the (i, j) order, so it lists exactly the pairs of a fresh
         radius-r index, in the same order. The cut happens on first use, and
         a single-round vote never needs it; within(self.r) is this index itself.
@@ -123,42 +132,65 @@ class NeighborIndex:
         r = float(r)
         if r not in widest._radii:
             bisect.insort(widest._radii, r)
-            widest._keys = widest._ones = widest._last = None
+            widest._table = widest._ones = widest._last = None
         index = copy.copy(widest)
         index.r = r
         index._pairs = index._counts = index._sq_dist = None
-        index._radii = index._keys = index._ones = index._last = None
+        index._radii = index._table = index._ones = index._last = None
         index._adjacency = index._unit = None
         index._wider = widest
         return index
 
-    def _bin_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """Keys bin*n + i and bin*n + j of the listed pairs (widest index only)."""
-        if self._keys is None:
-            radii = np.array(self._radii)
-            bins = np.searchsorted(radii * radii, self._squared_distances(), side="left")
-            # a pair the tree lists at the widest radius belongs to that radius
-            np.minimum(bins, len(radii) - 1, out=bins)
-            bins *= self.n
-            i, j = self.pairs
-            key_i = bins + i
-            bins += j  # becomes key_j in place
-            self._keys = (key_i, bins)
-            self._ones = self._prefix_tally(*self._keys)
-        return self._keys
+    def _tally_matrix(self) -> sparse.csr_array:
+        """T, the (R*n, n) bin-major adjacency of the listed pairs (widest index only).
 
-    def _prefix_tally(self, keys_a: np.ndarray, keys_b: np.ndarray) -> np.ndarray:
-        """(R, n) per-sensor counts of the keyed pairs within each radius."""
-        size = len(self._radii) * self.n
-        flat = np.bincount(keys_a, minlength=size) + np.bincount(keys_b, minlength=size)
-        return np.cumsum(flat.reshape(len(self._radii), self.n), axis=0)
+        Row bin*n + i holds the neighbors of sensor i whose pair falls in that
+        radius bin, so each pair is one entry in row bin*n + i and one in row
+        bin*n + j. The all-ones tally is read off T's row lengths.
+        """
+        if self._table is None:
+            n, size = self.n, len(self._radii)
+            i, j = self.pairs
+            sq_dist = self._squared_distances()
+            # a pair's bin counts the smaller radii whose closed ball misses it, by the
+            # cuts' own test; a pair the tree lists at the widest radius stays in its bin
+            bins = np.zeros(i.size, dtype=np.min_scalar_type(size - 1))
+            for r in self._radii[:-1]:
+                bins += sq_dist > r * r
+            # free the squared distances before packing; a cut's listing recomputes them
+            del sq_dist
+            self._sq_dist = None
+            # pack each entry as ((bin*n + row) << shift) | col, one half at a time
+            shift = n.bit_length()
+            keys = np.empty(2 * i.size, dtype=np.int64)
+            lengths = np.zeros(size * n, dtype=np.int64)
+            for half, row, col in ((keys[:i.size], i, j), (keys[i.size:], j, i)):
+                half[...] = bins
+                half *= n
+                half += row
+                lengths += np.bincount(half, minlength=size * n)
+                half <<= shift
+                half |= col
+            del bins, half  # half is a view of keys, which must be freed once split
+            keys.sort()
+            keys &= (1 << shift) - 1
+            indices = keys.astype(np.int32)
+            del keys  # one packed array at a time bounds peak memory
+            indptr = np.zeros(size * n + 1, dtype=np.int32)
+            np.cumsum(lengths, out=indptr[1:])
+            self._table = sparse.csr_array((size * n, n))
+            # set after construction, so scipy neither re-checks nor widens the int32 arrays
+            self._table.data = np.ones(indices.size, dtype=np.int32)
+            self._table.indices, self._table.indptr = indices, indptr
+            self._ones = np.cumsum(lengths.reshape(size, n), axis=0)
+        return self._table
 
     def _tally(self, values: np.ndarray) -> np.ndarray:
         """(R, n) boolean neighbor sums at every registered radius (widest index only)."""
         if self._last is None or not np.array_equal(self._last[0], values):
-            key_i, key_j = self._bin_keys()
-            i, j = self.pairs
-            self._last = (values.copy(), self._prefix_tally(key_i[values[j]], key_j[values[i]]))
+            flat = self._tally_matrix() @ values.astype(np.int32)
+            tally = np.cumsum(flat.reshape(len(self._radii), self.n), axis=0, dtype=np.int64)
+            self._last = (values.copy(), tally)
         return self._last[1]
 
     @property
@@ -166,7 +198,7 @@ class NeighborIndex:
         """Neighbor count per sensor."""
         if self._counts is None:
             widest = self._wider or self
-            if widest._keys is not None:
+            if widest._table is not None:
                 self._counts = widest._ones[widest._radii.index(self.r)].copy()
             elif self._adjacency is not None:
                 upper = self._adjacency[0]
@@ -189,16 +221,14 @@ class NeighborIndex:
         """Per-sensor number of neighbors whose boolean value is true (exact).
 
         An index with cuts reads its row of the widest index's prefix tally;
-        a lone radius has nothing to share, so it sums its own listing and
-        bins nothing.
+        a lone radius has nothing to share, so it bins nothing and sums 0/1
+        values with the multi-round products, which are exact for them.
         """
         v = np.asarray(values, dtype=bool)
         widest = self._wider or self
         if len(widest._radii) > 1:
             return widest._tally(v)[widest._radii.index(self.r)].copy()
-        i, j = self.pairs
-        sums = np.bincount(i[v[j]], minlength=self.n) + np.bincount(j[v[i]], minlength=self.n)
-        return sums
+        return self.weighted_sums(v).astype(np.int64)
 
     def _upper_and_lower(self) -> tuple[sparse.csr_array, sparse.csc_array]:
         """U as CSR and U.T as CSC over the same arrays; a cut then drops its listing."""

@@ -156,6 +156,36 @@ class TestPrefixTally:
         values = np.random.default_rng(47).random(field.n) < 0.5
         self.assert_matches_fresh(field, indexes, values)
 
+    def test_more_radii_than_a_byte_holds(self):
+        # lattice coordinates and radii are exact binary fractions, so many
+        # pairs lie exactly on a cut's closed-ball edge
+        rng = np.random.default_rng(61)
+        field = make_field(rng.integers(0, 256, 250) / 256, rng.integers(0, 256, 250) / 256)
+        radii = [k / 1024 for k in range(1, 301)]
+        wide = build_index(field, radii[-1])
+        indexes = [wide] + [wide.within(r) for r in radii[:-1]]
+        values = rng.random(field.n) < 0.5
+        for index in indexes:
+            fresh = build_index(field, index.r)
+            sums, want = index.count_sums(values), fresh.count_sums(values)
+            assert sums.dtype == want.dtype == np.int64
+            assert np.array_equal(sums, want), index.r
+            assert index.counts.dtype == fresh.counts.dtype == np.int64
+            assert np.array_equal(index.counts, fresh.counts), index.r
+
+    def test_lone_index_sums_equal_two_bincounts(self):
+        sampled = sample_field(3000, seed=5)
+        cases = [(make_field([], []), np.zeros(0, dtype=bool))] + [
+            (sampled, assign_measurements(sampled, region_xs(), p, 5).measured) for p in (0.0, 0.5)]
+        for field, values in cases:
+            index = build_index(field, 0.06)
+            i, j = index.pairs
+            want = (np.bincount(i[values[j]], minlength=field.n)
+                    + np.bincount(j[values[i]], minlength=field.n))
+            sums = index.count_sums(values)
+            assert sums.dtype == np.int64
+            assert np.array_equal(sums, want)
+
     def test_pairs_keep_the_lexsort_order(self):
         rng = np.random.default_rng(59)
         field = make_field(rng.random(3000), rng.random(3000))
