@@ -2,9 +2,13 @@
 
 The region of interest Y is always the unit square [0,1]^2. Event regions are
 built from axis-aligned rectangles with circular corner rounding plus a
-serpentine "comb" used as a worst-case shape. Boundaries are represented
-piecewise-analytically (line segments and circular arcs) with an arc-length
-parameterization, so distances and arc queries are exact up to float precision.
+serpentine "comb" used as a worst-case shape, and must lie inside Y. Boundaries
+are represented piecewise-analytically (line segments and circular arcs) with
+an arc-length parameterization, so distances and arc queries are exact up to
+float precision. The path decides both the sign of a distance (the side of the
+nearest piece's direction of travel) and where bd(X) enters a disk (each
+piece's closed-form crossing of the disk's rim). Rounded rectangles answer
+distance queries with their own closed form.
 """
 from __future__ import annotations
 
@@ -22,7 +26,6 @@ TWO_PI = 2.0 * math.pi
 # tangency direction makes angle asin(5/8) with the strip axis.
 _CAP_PHI = math.asin(5.0 / 8.0)
 _CAP_DX = math.sqrt(39.0) / 4.0  # fillet-center x offset from bulb center, in units of r
-_CAP_EDGE_DX = math.sqrt(15.0) / 4.0  # bulb/edge-line crossing offset, in units of r
 
 
 class ZoneLabel(Enum):
@@ -67,11 +70,25 @@ class Segment:
         t = np.asarray(s, dtype=float) / self.length
         return self.x0 + t * (self.x1 - self.x0), self.y0 + t * (self.y1 - self.y0)
 
-    def distance(self, x, y):
+    def signed_distance(self, x, y):
+        """Distance to the segment, negated right of its direction of travel."""
         dx, dy = self.x1 - self.x0, self.y1 - self.y0
         px, py = np.asarray(x, dtype=float) - self.x0, np.asarray(y, dtype=float) - self.y0
         t = np.clip((px * dx + py * dy) / (dx * dx + dy * dy), 0.0, 1.0)
-        return np.hypot(px - t * dx, py - t * dy)
+        d = np.hypot(px - t * dx, py - t * dy)
+        return np.where(dx * py - dy * px >= 0.0, d, -d)
+
+    def entry(self, px: float, py: float, r: float) -> list[float]:
+        """Offsets in [0, length) where the segment enters the closed r-disk at (px, py)."""
+        length = self.length
+        ux, uy = (self.x1 - self.x0) / length, (self.y1 - self.y0) / length
+        wx, wy = self.x0 - px, self.y0 - py
+        b = ux * wx + uy * wy
+        disc = b * b - (wx * wx + wy * wy - r * r)
+        if disc <= 0.0:
+            return []
+        s = -b - math.sqrt(disc)  # the first root: outside -> inside
+        return [s] if 0.0 <= s < length else []
 
     def area_term(self) -> float:
         # Green's theorem contribution of integral x dy along the segment.
@@ -97,7 +114,8 @@ class Arc:
         a = self.a0 + t * (self.a1 - self.a0)
         return self.cx + self.radius * np.cos(a), self.cy + self.radius * np.sin(a)
 
-    def distance(self, x, y):
+    def signed_distance(self, x, y):
+        """Distance to the arc, negated right of its direction of travel."""
         px = np.asarray(x, dtype=float) - self.cx
         py = np.asarray(y, dtype=float) - self.cy
         rho = np.hypot(px, py)
@@ -112,7 +130,22 @@ class Arc:
             np.hypot(np.asarray(x) - ex0, np.asarray(y) - ey0),
             np.hypot(np.asarray(x) - ex1, np.asarray(y) - ey1),
         )
-        return np.where(on_arc, d_circle, d_ends)
+        d = np.where(on_arc, d_circle, d_ends)
+        left = rho <= self.radius if self.a1 > self.a0 else rho >= self.radius
+        return np.where(left, d, -d)
+
+    def entry(self, px: float, py: float, r: float) -> list[float]:
+        """Offsets in [0, length) where the arc enters the closed r-disk at (px, py)."""
+        qx, qy = px - self.cx, py - self.cy
+        rho = math.hypot(qx, qy)
+        # the circle meets the disk's rim where cos(angle - atan2(q)) = k
+        k = (rho * rho + self.radius * self.radius - r * r) / (2.0 * self.radius * rho)
+        if not -1.0 < k < 1.0:
+            return []
+        turn = 1.0 if self.a1 > self.a0 else -1.0
+        angle = math.atan2(qy, qx) - turn * math.acos(k)
+        s = self.radius * ((angle - self.a0) * turn % TWO_PI)
+        return [s] if s < self.length else []
 
     def area_term(self) -> float:
         # integral x dy with x = cx + R cos t, y = cy + R sin t, t from a0 to a1.
@@ -145,13 +178,26 @@ class BoundaryPath:
                 x[m], y[m] = piece.point_at(s[m] - self.cum[k])
         return x, y
 
-    def distance(self, x, y):
-        """Unsigned distance from (x, y) to the path."""
-        d = None
-        for piece in self.pieces:
-            dp = piece.distance(x, y)
-            d = dp if d is None else np.minimum(d, dp)
+    def signed_distance(self, x, y):
+        """Distance from (x, y) to the path, positive on its left (inside).
+
+        The nearest piece decides the sign, the earlier one on a tie. That is
+        exact on a tangent-continuous path, where the nearest point is the foot
+        of a normal.
+        """
+        d = self.pieces[0].signed_distance(x, y)
+        best = np.abs(d)
+        for piece in self.pieces[1:]:
+            dp = piece.signed_distance(x, y)
+            adp = np.abs(dp)
+            d = np.where(adp < best, dp, d)
+            best = np.minimum(best, adp)
         return d
+
+    def entries(self, px: float, py: float, r: float) -> np.ndarray:
+        """Arc-length positions where the path enters the closed r-disk at (px, py)."""
+        return np.array([self.cum[k] + s for k, piece in enumerate(self.pieces)
+                         for s in piece.entry(px, py, r)])
 
     def enclosed_area(self) -> float:
         return float(sum(p.area_term() for p in self.pieces))
@@ -180,6 +226,9 @@ class RoundedRect:
         self.width, self.height = float(width), float(height)
         self.corner_radius = float(corner_radius)
         self.name = name or (f"rounded_rect_{cx:g}_{cy:g}_{width:g}x{height:g}_rho{corner_radius:g}")
+        x0, y0, x1, y1 = self.bbox()
+        if min(x0, y0) < -1e-12 or max(x1, y1) > 1.0 + 1e-12:
+            raise ValueError(f"{self.name} does not fit in the unit square")
         self.components = 1
         self.convex = True
         self.min_curvature_radius = self.corner_radius
@@ -310,20 +359,10 @@ class Comb:
                 lefts.append(lefts[i - 1])
                 rights.append(lefts[i] + li)
         self._ys, self._lefts, self._rights = ys, lefts, rights
-        # free (capped) ends: only the first and last strip have one (or two for n=1)
-        self._cap_left = [False] * n
-        self._cap_right = [False] * n
-        for i in (0, n - 1):
-            left_joined = any(
-                (j == i - 1 and (j % 2 == 1)) or (j == i and (i % 2 == 1))
-                for j in range(n - 1)
-            )
-            right_joined = any(
-                (j == i - 1 and (j % 2 == 0)) or (j == i and (i % 2 == 0))
-                for j in range(n - 1)
-            )
-            self._cap_left[i] = not left_joined
-            self._cap_right[i] = not right_joined
+        # free (capped) ends: strip i joins strip i+1 on the right iff i is even,
+        # so strip 0's left end and the last strip's far end stay free
+        self._cap_left = [i == 0 or (i == n - 1 and n % 2 == 0) for i in range(n)]
+        self._cap_right = [i == n - 1 and n % 2 == 1 for i in range(n)]
 
     def _edge_x(self, i: int, side: str) -> float:
         r = self.r
@@ -433,58 +472,16 @@ class Comb:
     def boundary(self) -> BoundaryPath:
         return self._boundary
 
-    def strip_rects(self):
-        """The (left, right, bottom, top) rectangles of the thin strips."""
-        h = self.strip_height / 2
-        return [
-            (self._lefts[i], self._rights[i], self._ys[i] - h, self._ys[i] + h)
-            for i in range(self.strip_count)
-        ]
-
     def strip_area(self) -> float:
-        return sum((x1 - x0) * (y1 - y0) for x0, x1, y0, y1 in self.strip_rects())
-
-    def contains(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        r = self.r
-        inside = np.zeros(np.broadcast(x, y).shape, dtype=bool)
-        for x0, x1, y0, y1 in self.strip_rects():
-            inside |= (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
-        for i in range(self.strip_count - 1):
-            side, xe, cy = self._join_center(i)
-            rho = np.hypot(x - xe, y - cy)
-            half = x >= xe if side == "right" else x <= xe
-            inside |= half & (rho >= r) & (rho <= 1.5 * r)
-        for i in range(self.strip_count):
-            yc = self._ys[i]
-            for side, capped in (("left", self._cap_left[i]), ("right", self._cap_right[i])):
-                if not capped:
-                    continue
-                sgn = 1.0 if side == "left" else -1.0
-                bx = self._lefts[i] if side == "left" else self._rights[i]
-                inside |= np.hypot(x - bx, y - yc) <= r
-                # fillet patches between the bulb and the strip edges; bounded
-                # left by the bulb circle, above by the fillet arc, below by
-                # the edge line, and the fillet-bulb tangency sits at 5r/8.
-                u = sgn * (x - bx)  # coordinate pointing into the strip
-                in_band = (u >= 0.0) & (u <= _CAP_DX * r)
-                fx = bx + sgn * _CAP_DX * r
-                for vs in (1.0, -1.0):
-                    fy = yc + vs * 1.25 * r
-                    v = vs * (y - yc)
-                    patch = (
-                        in_band
-                        & (v >= r / 4) & (v <= 5.0 * r / 8.0)
-                        & (np.hypot(x - bx, y - yc) >= r)
-                        & (np.hypot(x - fx, y - fy) >= r)
-                    )
-                    inside |= patch
-        return inside
+        return sum((x1 - x0) * self.strip_height for x0, x1 in zip(self._lefts, self._rights))
 
     def signed_distance(self, x, y):
-        d = self._boundary.distance(x, y)
-        return np.where(self.contains(x, y), d, -d)
+        """Exact Euclidean distance to bd(X), positive inside X."""
+        return self._boundary.signed_distance(x, y)
+
+    def contains(self, x, y):
+        """Closed-region membership: boundary points count as inside."""
+        return self.signed_distance(x, y) >= 0.0
 
     def descriptor(self) -> dict:
         return {
@@ -611,7 +608,7 @@ def dubious_zone_area(region, r: float, mc_samples: int = 1_000_000, seed: int =
     return ZoneArea(outer + inner, analytic=True, clipped=False)
 
 
-def classify_good_bad(region, pt, r: float, coarse: int = 2048, tol: float = 1e-12) -> SensorClass:
+def classify_good_bad(region, pt, r: float) -> SensorClass:
     """Good/bad split for dubious-band sensors of a convex, round region.
 
     Traversing bd(X) counterclockwise, the boundary enters the radius-r disk A
@@ -625,41 +622,10 @@ def classify_good_bad(region, pt, r: float, coarse: int = 2048, tol: float = 1e-
     if abs(d) >= r:
         return SensorClass.NOT_IN_ZR
     path = region.boundary
-
-    def f(s: float) -> float:
-        bx, by = path.points_at(np.array([s]))
-        return math.hypot(float(bx[0]) - px, float(by[0]) - py) - r
-
-    grid = np.linspace(0.0, path.length, coarse, endpoint=False)
-    bx, by = path.points_at(grid)
-    fg = np.hypot(bx - px, by - py) - r
-    s_min = float(grid[np.argmin(fg)])
-    step = path.length / coarse
-    lo, hi = s_min - step, s_min + step
-    for _ in range(200):  # ternary refinement of the dip
-        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-        if f(m1) <= f(m2):
-            hi = m2
-        else:
-            lo = m1
-        if hi - lo < tol:
-            break
-    s_in = (lo + hi) / 2
-    if f(s_in) >= 0.0:
-        raise ArithmeticError("disk-boundary intersection degenerates at |distance| ~ r")
-    s_out = s_in - step
-    while f(s_out) <= 0.0:
-        s_out -= step
-    # bisect the outside -> inside crossing (CCW entry point)
-    for _ in range(200):
-        mid = (s_out + s_in) / 2
-        if f(mid) > 0.0:
-            s_out = mid
-        else:
-            s_in = mid
-        if s_in - s_out < tol:
-            break
-    ex, ey = path.points_at((s_out + s_in) / 2)
-    qx, qy = 2 * px - float(ex), 2 * py - float(ey)
+    entries = path.entries(px, py, r)
+    if entries.size != 1:
+        raise ArithmeticError(f"bd(X) enters the disk {entries.size} times, not once")
+    ex, ey = path.points_at(entries)
+    qx, qy = 2 * px - float(ex[0]), 2 * py - float(ey[0])
     same_side = bool(region.contains(qx, qy)) == (d >= 0.0)
     return SensorClass.GOOD if same_side else SensorClass.BAD

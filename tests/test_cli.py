@@ -80,6 +80,10 @@ class TestExitCodes:
         ["worstcase", "--shape", "thin", "--r", "0.4", "--trials", "1"],
         ["sweep", "--lambda-values", "0", "--trials", "1"],
         ["bounds", "--p-values", "0.7"],
+        ["simulate", "--region-type", "rounded_rect", "--region-cx", "0.9",
+         "--region-width", "0.4", "--trials", "1"],
+        ["bounds", "--region-type", "rounded_rect", "--region-cx", "0.9",
+         "--region-width", "0.4"],
     ])
     def test_bad_inputs_return_2(self, argv, capsys):
         assert main(argv) == 2

@@ -83,6 +83,8 @@ class TestRoundedRect:
             RoundedRect(0.5, 0.5, 0.4, 0.4, 0.3)
         with pytest.raises(ValueError):
             RoundedRect(0.5, 0.5, -0.1, 0.4, 0.0)
+        with pytest.raises(ValueError, match="does not fit in the unit square"):
+            RoundedRect(0.9, 0.5, 0.4, 0.4, 0.1)
 
 
 class TestZone:
@@ -245,6 +247,26 @@ class TestComb:
         sigma = math.sqrt(comb.area * (1 - comb.area) / n)
         assert abs(est - comb.area) <= 4 * sigma
 
+    @pytest.mark.parametrize("r,ell", [(0.05, 0.4), (0.05, 0.2), (0.03, 0.36)])
+    def test_contains_matches_ray_parity(self, r, ell):
+        # even-odd crossing count over a fine polygon through the boundary;
+        # points closer to bd(X) than the polygon's chord error are skipped
+        comb = build_comb(r, ell)
+        vx, vy = comb.boundary.points_at(np.linspace(0.0, comb.boundary.length, 4000,
+                                                     endpoint=False))
+        wx, wy = np.roll(vx, -1), np.roll(vy, -1)
+        x0, y0, x1, y1 = comb.bbox()
+        rng = np.random.default_rng(19)
+        x, y = rng.uniform(x0, x1, 20_000), rng.uniform(y0, y1, 20_000)
+        keep = np.abs(comb.signed_distance(x, y)) > 1e-5
+        x, y = x[keep], y[keep]
+        parity = np.zeros(x.size, dtype=bool)
+        for ax, ay, bx, by in zip(vx, vy, wx, wy):
+            spans = (ay > y) != (by > y)
+            if spans.any():
+                parity[spans] ^= x[spans] < ax + (bx - ax) * (y[spans] - ay) / (by - ay)
+        assert np.array_equal(comb.contains(x, y), parity)
+
     def test_single_strip_comb(self):
         comb = build_comb(0.05, 0.2)
         assert comb.strip_count == 1
@@ -295,6 +317,25 @@ class TestClassifyGoodBad:
             assert 0 < d < r
             classes.add(classify_good_bad(region, (px, py), r))
         assert SensorClass.BAD in classes
+
+    @pytest.mark.parametrize("region_fn,r", [(region_xs, 0.1), (region_xl, 0.05),
+                                             (lambda: RoundedRect(0.5, 0.5, 0.6, 0.3, 0.12), 0.12)])
+    def test_boundary_enters_disk_once_on_its_rim(self, region_fn, r):
+        region = region_fn()
+        path = region.boundary
+        rng = np.random.default_rng(23)
+        checked, h = 0, 1e-6
+        while checked < 100:
+            px, py = rng.random(2)
+            if abs(distance_to_boundary(region, (px, py))) >= 0.95 * r:
+                continue
+            entries = path.entries(px, py, r)
+            assert entries.size == 1
+            bx, by = path.points_at(entries + np.array([-h, 0.0, h]))
+            dist = np.hypot(bx - px, by - py)
+            assert dist[1] == pytest.approx(r, abs=1e-12)
+            assert dist[0] > r > dist[2]
+            checked += 1
 
     def test_rejects_nonconvex_or_sharp(self):
         with pytest.raises(ValueError):
