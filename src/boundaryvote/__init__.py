@@ -12,7 +12,8 @@ from .bounds import (BoundReport, bad_segment_length_upper, beta_fraction,
 from .geometry import (Comb, Point, RoundedRect, SensorClass, ZoneArea,
                        ZoneLabel, build_comb, build_thin_rectangle,
                        classify_good_bad, contains, distance_to_boundary,
-                       dubious_zone_area, region_xl, region_xs, zone_of)
+                       dubious_zone_area, dubious_zone_areas, region_xl, region_xs,
+                       zone_of)
 from .harness import (GridError, SimConfig, SweepResult, SweepRow, TrialMetrics,
                       best_radius, bound_table, run_trial, run_trial_field, sweep,
                       sweep_csv_string, trial_seed, write_sweep_csv)

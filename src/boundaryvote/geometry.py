@@ -70,6 +70,11 @@ class Segment:
         t = np.asarray(s, dtype=float) / self.length
         return self.x0 + t * (self.x1 - self.x0), self.y0 + t * (self.y1 - self.y0)
 
+    @property
+    def box(self) -> tuple[float, float, float, float]:
+        return (min(self.x0, self.x1), min(self.y0, self.y1),
+                max(self.x0, self.x1), max(self.y0, self.y1))
+
     def signed_distance(self, x, y):
         """Distance to the segment, negated right of its direction of travel."""
         dx, dy = self.x1 - self.x0, self.y1 - self.y0
@@ -113,6 +118,12 @@ class Arc:
         t = np.asarray(s, dtype=float) / self.length
         a = self.a0 + t * (self.a1 - self.a0)
         return self.cx + self.radius * np.cos(a), self.cy + self.radius * np.sin(a)
+
+    @property
+    def box(self) -> tuple[float, float, float, float]:
+        """The full circle's bounding box, which holds the arc."""
+        rho = self.radius
+        return self.cx - rho, self.cy - rho, self.cx + rho, self.cy + rho
 
     def signed_distance(self, x, y):
         """Distance to the arc, negated right of its direction of travel."""
@@ -183,16 +194,25 @@ class BoundaryPath:
 
         The nearest piece decides the sign, the earlier one on a tie. That is
         exact on a tangent-continuous path, where the nearest point is the foot
-        of a normal.
+        of a normal. A piece is evaluated only at points whose distance to its
+        bounding box is within 1e-9 of the nearest piece so far; the margin
+        covers rounding, so a skipped piece could not have been nearer.
         """
-        d = self.pieces[0].signed_distance(x, y)
-        best = np.abs(d)
-        for piece in self.pieces[1:]:
-            dp = piece.signed_distance(x, y)
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        shape = x.shape
+        x, y = x.ravel(), y.ravel()
+        d = np.zeros(x.size)
+        best = np.full(x.size, np.inf)
+        for piece in self.pieces:
+            x0, y0, x1, y1 = piece.box
+            gap = np.hypot(np.maximum(np.maximum(x0 - x, x - x1), 0.0),
+                           np.maximum(np.maximum(y0 - y, y - y1), 0.0))
+            near = np.flatnonzero(gap <= best + 1e-9)
+            dp = piece.signed_distance(x[near], y[near])
             adp = np.abs(dp)
-            d = np.where(adp < best, dp, d)
-            best = np.minimum(best, adp)
-        return d
+            d[near] = np.where(adp < best[near], dp, d[near])
+            best[near] = np.minimum(best[near], adp)
+        return d.reshape(shape)
 
     def entries(self, px: float, py: float, r: float) -> np.ndarray:
         """Arc-length positions where the path enters the closed r-disk at (px, py)."""
@@ -580,32 +600,51 @@ def _zone_clips_unit_square(region, r: float) -> bool:
     return x0 - r < -tol or y0 - r < -tol or x1 + r > 1.0 + tol or y1 + r > 1.0 + tol
 
 
-def _zone_area_mc(region, r: float, samples: int, seed: int) -> float:
+def _zone_distances(region, samples: int, seed: int) -> np.ndarray:
+    """|signed distance| at a stratified sample of Y, drawn the same way for every r."""
     grid = max(int(math.sqrt(samples)), 10)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x5A0E,)))
     base = (np.arange(grid) + 0.0) / grid
     gx, gy = np.meshgrid(base, base, indexing="ij")
     x = gx.ravel() + rng.random(grid * grid) / grid
     y = gy.ravel() + rng.random(grid * grid) / grid
-    d = np.abs(region.signed_distance(x, y))
-    return float(np.count_nonzero(d <= r)) / (grid * grid)
+    return np.abs(region.signed_distance(x, y))
 
 
-def dubious_zone_area(region, r: float, mc_samples: int = 1_000_000, seed: int = 0) -> ZoneArea:
-    """Area of Z_r = points within distance r of bd(X).
+def _zone_area_mc(region, r: float, samples: int, seed: int) -> float:
+    d = _zone_distances(region, samples, seed)
+    return float(np.count_nonzero(d <= r)) / d.size
+
+
+def dubious_zone_areas(region, r_values, mc_samples: int = 1_000_000,
+                       seed: int = 0) -> list[ZoneArea]:
+    """Area of Z_r = points within distance r of bd(X), at each r of r_values.
 
     Exact for rounded rectangles whose band stays inside Y (outer band by the
     convex offset formula, inner band by subtracting the eroded area); falls
     back to stratified Monte Carlo over Y for the comb or when Z_r clips bd(Y).
+    Every estimate counts the same sample, whose distances are computed once.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    clipped = _zone_clips_unit_square(region, r)
-    if clipped or not isinstance(region, RoundedRect):
-        return ZoneArea(_zone_area_mc(region, r, mc_samples, seed), analytic=False, clipped=clipped)
-    outer = region.perimeter * r + math.pi * r * r
-    inner = region.area - region.eroded_area(r)
-    return ZoneArea(outer + inner, analytic=True, clipped=False)
+    areas, distances = [], None
+    for r in r_values:
+        if r <= 0:
+            raise ValueError("r must be positive")
+        clipped = _zone_clips_unit_square(region, r)
+        if clipped or not isinstance(region, RoundedRect):
+            if distances is None:
+                distances = _zone_distances(region, mc_samples, seed)
+            value = float(np.count_nonzero(distances <= r)) / distances.size
+            areas.append(ZoneArea(value, analytic=False, clipped=clipped))
+        else:
+            outer = region.perimeter * r + math.pi * r * r
+            inner = region.area - region.eroded_area(r)
+            areas.append(ZoneArea(outer + inner, analytic=True, clipped=False))
+    return areas
+
+
+def dubious_zone_area(region, r: float, mc_samples: int = 1_000_000, seed: int = 0) -> ZoneArea:
+    """Area of Z_r at one radius, as `dubious_zone_areas` computes it."""
+    return dubious_zone_areas(region, [r], mc_samples, seed)[0]
 
 
 def classify_good_bad(region, pt, r: float) -> SensorClass:

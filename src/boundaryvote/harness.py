@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bound_report
-from .geometry import dubious_zone_area
+from .geometry import dubious_zone_areas
 from .neighborhood import build_index
 from .sampling import assign_measurements, sample_field
 from .vote import SINGLE_ROUND, VoteMode, run_vote
@@ -225,7 +225,7 @@ def bound_table(r_values, p_values, lam_values, regions) -> list:
             raise GridError(f"r={r} must be positive")
     reports = []
     for region in regions:
-        zr_areas = [dubious_zone_area(region, r).value for r in r_values]
+        zr_areas = [area.value for area in dubious_zone_areas(region, r_values)]
         for r, zr_area in zip(r_values, zr_areas):
             if zr_area >= 1.0:  # Theorem 1 needs some area outside Z_r
                 raise GridError(f"Z_r of region {region.name} at r={r} covers Y")

@@ -73,8 +73,12 @@ def round_count(p: float, r: float, c: float) -> int:
 def multi_round(field, index: NeighborIndex, t: int, keep_history: bool = False) -> VoteOutcome:
     """t synchronous rounds of neighbor score averaging (self excluded).
 
-    Sensors without neighbors keep their score. With t = 1 the decisions are
-    exactly those of majority_round.
+    Sensors without neighbors keep their score. Round 1 averages +/-1 scores,
+    so its sums are the integers 2 * votes - k; it reads them from the
+    index's exact `count_sums`, which the cuts of a sweep field answer from
+    one prefix tally, and they equal the float products of the later rounds
+    bit for bit, since every partial sum is an integer below 2**53. With
+    t = 1 the decisions are exactly those of majority_round.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -87,8 +91,11 @@ def multi_round(field, index: NeighborIndex, t: int, keep_history: bool = False)
     has_neighbors = k > 0
     safe_k = np.maximum(k, 1).astype(float)
     history = [] if keep_history else None
-    for _ in range(t):
-        sums = index.weighted_sums(score)
+    for round_index in range(t):
+        if round_index == 0:
+            sums = (2 * index.count_sums(measured) - k).astype(float)
+        else:
+            sums = index.weighted_sums(score)
         score = np.where(has_neighbors, sums / safe_k, score)
         decided = np.where(score > 0.0, True, np.where(score < 0.0, False, decided))
         if history is not None:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from boundaryvote import harness
-from boundaryvote.geometry import build_thin_rectangle, region_xl, region_xs
+from boundaryvote.geometry import (build_comb, build_thin_rectangle, dubious_zone_area,
+                                   region_xl, region_xs)
 from boundaryvote.harness import (CSV_COLUMNS, METRIC_FIELDS, SimConfig,
                                   best_radius, compute_metrics, run_trial,
                                   run_trial_field, sweep, sweep_csv_string,
@@ -138,6 +139,13 @@ class TestSweep:
         assert row.thm1_lower <= row.thm1_upper
         assert row.thm2_upper > 0 and row.thm3_upper > 0
         assert row.combined_upper == pytest.approx(row.thm1_upper + row.thm3_upper)
+
+    def test_comb_bound_table_equals_per_radius_zone_areas(self):
+        # the table computes the comb's Monte Carlo distances once for all radii
+        comb, r_values = build_comb(0.05, 0.4), (0.02, 0.05, 0.1)
+        reports = harness.bound_table(r_values, (0.15,), (1000.0,), (comb,))
+        want = [dubious_zone_area(comb, r).value for r in r_values]
+        assert [b.zr_area for b in reports] == want
 
     def test_thm3_nan_when_curvature_violated(self):
         cfg = small_config(trials=1, region=build_thin_rectangle(0.05))

@@ -168,10 +168,14 @@ class TestPrefixTally:
         for index in indexes:
             fresh = build_index(field, index.r)
             sums, want = index.count_sums(values), fresh.count_sums(values)
+            i, j = fresh.pairs  # and two bincounts over a fresh listing
+            assert np.array_equal(sums, np.bincount(i[values[j]], minlength=field.n)
+                                  + np.bincount(j[values[i]], minlength=field.n)), index.r
             assert sums.dtype == want.dtype == np.int64
             assert np.array_equal(sums, want), index.r
             assert index.counts.dtype == fresh.counts.dtype == np.int64
             assert np.array_equal(index.counts, fresh.counts), index.r
+        assert wide._bins.dtype == np.uint16
 
     def test_lone_index_sums_equal_two_bincounts(self):
         sampled = sample_field(3000, seed=5)
@@ -194,6 +198,45 @@ class TestPrefixTally:
         order = np.lexsort((raw[:, 1], raw[:, 0]))
         assert np.array_equal(index.pairs[0], raw[order, 0])
         assert np.array_equal(index.pairs[1], raw[order, 1])
+
+
+@st.composite
+def call_order_case(draw):
+    """A small field, radii, a radius registered late, a boolean vector and a call order."""
+    n, field, radii = draw_field_and_radii(draw, max_radii=5)
+    values = draw(st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))
+    calls = draw(st.permutations(("pairs", "counts", "count_sums", "weighted_sums")))
+    return field, radii, draw(st.floats(0.005, max(radii))), values, calls
+
+
+class TestCutsFromBins:
+    """Cut listings taken from the radius bins equal fresh listings, in any call order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(call_order_case())
+    def test_cuts_match_fresh_indexes_in_any_order(self, case):
+        field, radii, late_r, values, calls = case
+        wide = build_index(field, max(radii))
+        indexes = [wide] + [wide.within(r) for r in radii]
+        indexes[-1].pairs  # listed from the first bins
+        wide.count_sums(values)  # a tally; the late radius then rebuilds the bins
+        indexes.append(wide.within(late_r))
+        for index in indexes:
+            fresh = build_index(field, index.r)
+            for call in calls:
+                if call == "pairs":
+                    got, want = index.pairs, fresh.pairs
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                elif call == "counts":
+                    assert np.array_equal(index.counts, fresh.counts), index.r
+                elif call == "count_sums":
+                    assert np.array_equal(index.count_sums(values), fresh.count_sums(values))
+                else:
+                    scores = values.astype(float)
+                    sums = index.weighted_sums(scores)
+                    assert np.array_equal(sums, bincount_sums(field, index.r, scores))
+            got, want = index.pairs, fresh.pairs  # again, once U holds the cut's pairs
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @st.composite

@@ -1,6 +1,8 @@
 """Vote scheme tests: majority semantics, round counts, score propagation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boundaryvote.neighborhood import build_index
 from boundaryvote.sampling import SensorField, assign_measurements, sample_field
@@ -155,6 +157,68 @@ class TestMultiRound:
         field = measured_field([0.5], [0.5], [True])
         with pytest.raises(ValueError):
             multi_round(field, build_index(field, 0.05), 0)
+
+
+def reference_multi_round(field, r, t):
+    """multi_round with every round, the first too, through a fresh index's weighted_sums."""
+    index = build_index(field, r)
+    score = np.where(field.measured, 1.0, -1.0)
+    decided = field.measured.copy()
+    k = index.counts
+    safe_k = np.maximum(k, 1).astype(float)
+    history = []
+    for _ in range(t):
+        score = np.where(k > 0, index.weighted_sums(score) / safe_k, score)
+        decided = np.where(score > 0.0, True, np.where(score < 0.0, False, decided))
+        history.append(score.copy())
+    return decided, history
+
+
+@st.composite
+def lattice_case(draw):
+    """0-40 sensors on a 1/16 lattice, radii on it and a round count.
+
+    Lattice distances repeat, so pairs sit exactly on a radius and even
+    neighbor counts split evenly into exact-zero scores; small radii leave
+    sensors isolated, and n = 0 is an empty field.
+    """
+    n = draw(st.integers(0, 40))
+    cells = st.lists(st.integers(0, 16), min_size=n, max_size=n).map(lambda c: np.array(c) / 16)
+    field = measured_field(draw(cells), draw(cells),
+                           draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    lattice_radii = st.sampled_from([k / 16 for k in range(1, 7)])
+    radii = draw(st.lists(lattice_radii, min_size=1, max_size=4))
+    return field, radii, draw(st.integers(1, 4))
+
+
+class TestRoundOneFromTheTally:
+    """Round 1 from count_sums equals the all-weighted_sums reference bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(field, radii, t):
+        wide = build_index(field, max(radii))
+        indexes = [wide] + [wide.within(r) for r in radii] + [build_index(field, radii[0])]
+        for index in indexes:  # the wide index and its cuts, then a lone index
+            out = multi_round(field, index, t, keep_history=True)
+            decided, history = reference_multi_round(field, index.r, t)
+            assert out.decided.tobytes() == decided.tobytes(), index.r
+            assert [s.tobytes() for s in out.score_history] == [s.tobytes() for s in history]
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_case())
+    def test_matches_weighted_sums_reference(self, case):
+        self.assert_matches_reference(*case)
+
+    def test_edge_fields(self):
+        empty = measured_field([], [], [])
+        isolated = measured_field([0.1, 0.9], [0.1, 0.9], [True, False])
+        # sensor 2 ties at round 1: one neighbor in, one out
+        tie = measured_field([0.5, 0.52, 0.7, 0.7, 0.7], [0.5, 0.5, 0.4, 0.36, 0.44],
+                             [True, False, False, True, False])
+        for field in (empty, isolated, tie):
+            self.assert_matches_reference(field, [0.045, 0.02, 0.01], 3)
+        decided, history = reference_multi_round(tie, 0.045, 1)
+        assert history[0][2] == 0.0 and not decided[2]
 
 
 class TestVoteMode:
