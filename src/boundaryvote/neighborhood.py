@@ -2,33 +2,41 @@
 
 Neighborhoods are closed balls: sensors i and j are neighbors when
 dx*dx + dy*dy <= r*r, the k-d tree's own test, so two sensors at distance
-exactly r are neighbors. The bulk pair listing is cached so a whole field's
-neighbor sums cost one pass over the pair array, and `within` cuts a wide
-listing down to any smaller radius.
+exactly r are neighbors. The bulk pair listing is cached as int32 ids so a
+whole field's neighbor sums cost one pass over the pair array, and `within`
+cuts a wide listing down to any smaller radius.
+
+Every listing is sorted once, on one packed unsigned key decoded by shifts
+and masks: with s the bit length of n - 1, (i << s) | j, uint32 while
+2s <= 32 and uint64 beyond. A key past 64 bits raises OverflowError.
 
 A wide index with cuts keeps one radius bin per listed pair, in the
 smallest unsigned type that holds the radius count (uint8 up to 256 radii):
 the number of registered radii below its own whose closed ball misses the
 pair, by the test above. The radii that miss a pair are the smallest ones,
 so the k-th radius's pairs are exactly those with bin <= k, and a cut lists
-them in the wide listing's (i, j) order without any distance. Registering a
-new radius drops the bins, and the next cut or tally bins the pairs again.
+them in the wide listing's (i, j) order without any distance. The wide
+listing keeps the tree's order until `pairs` asks for it, and that sort
+carries the bins in the key's low bits. Registering a new radius drops the
+bins, and the next cut or tally bins the listing again.
 
 The same index answers `count_sums` and `counts` for all of its radii from
 one prefix tally. B is the (R*n, R*n) block-diagonal upper adjacency whose
-block k holds the pairs of bin k: an entry at row k*n + i, column k*n + j for
-each such pair i < j, so it has one entry per pair. A stable sort of the
-(i, j)-sorted listing by bin puts the entries in B's CSR order. With x the
-0/1 vector tiled R times, row k*n + i of B @ x + B.T @ x counts the neighbors
-of i in bin k that are set, and the cumulative sum over the radius axis of
-that (R, n) result is exactly every radius's integer sums; int32 products
-over int32 entries are exact. `counts` is the tally of the all-ones vector,
-kept for the life of the bins. The last other tally is cached with a copy of
-its input and served again only to an equal vector, so the cuts of a field
-voting on one measurement vector share a single pass, and a vector changed
-in place is never answered from a stale tally. A lone radius has nothing to
-share: its `count_sums` is the multi-round product below over 0/1 values,
-also exact, and its `counts` comes from its listing.
+block k holds the pairs of bin k: an entry at row k*n + i, column k*n + j
+for each such pair i < j, so it has one entry per pair. One sort of the key
+(bin << 2s) | (i << s) | j over the listing puts the entries in B's CSR
+order; its low s bits are j, and a binary search of each row's first key
+gives the row pointers. With x the 0/1 vector tiled R times, row k*n + i of
+B @ x + B.T @ x counts the neighbors of i in bin k that are set, and the
+cumulative sum over the radius axis of that (R, n) result is exactly every
+radius's integer sums; int32 products over int32 entries are exact. `counts`
+is the tally of the all-ones vector, kept for the life of the bins. The last
+other tally is cached with a copy of its input and served again only to an
+equal vector, so the cuts of a field voting on one measurement vector share
+a single pass, and a vector changed in place is never answered from a stale
+tally. A lone radius has nothing to share: its `count_sums` is the
+multi-round product below over 0/1 values, also exact, and its `counts` are
+U's row lengths plus its column counts.
 
 Multi-round voting sums real scores with two sparse matrix-vector products,
 `weighted_sums(v) = U @ v + U.T @ v`. U is the upper adjacency in CSR form:
@@ -57,17 +65,31 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
 
+_CHUNK = 1 << 16  # pairs binned at once: their temporaries stay in cache
 
-def _csr_and_csc(data, rows, columns, size) -> tuple[sparse.csr_array, sparse.csc_array]:
-    """A (size, size) CSR matrix of entries sorted by (row, column), and its transpose as CSC.
 
-    Both read the same data, the columns as indices and row pointers found by
-    binary search in the sorted rows, which copies no entry-sized array.
+def _sort_packed(fields) -> np.ndarray:
+    """Sorted keys packing (nonnegative ints, bit width) fields, most significant first.
+
+    uint32 keys up to 32 bits, uint64 up to 64; a wider key would wrap, so it raises.
     """
-    indptr = np.searchsorted(rows, np.arange(size + 1, dtype=rows.dtype)).astype(rows.dtype)
+    bits = sum(width for _, width in fields)
+    if bits > 64:
+        raise OverflowError(f"a {bits}-bit sort key does not fit 64 bits")
+    key = fields[0][0].astype(np.uint32 if bits <= 32 else np.uint64)
+    for values, width in fields[1:]:
+        key <<= width
+        key |= values.view(f"u{values.itemsize}")  # unsigned: no signed promotion
+    key.sort()
+    return key
+
+
+def _csr_and_csc(data, indices, indptr) -> tuple[sparse.csr_array, sparse.csc_array]:
+    """A square CSR matrix and its transpose as CSC, both over the same three arrays."""
+    size = indptr.size - 1
     pair = (sparse.csr_array((size, size)), sparse.csc_array((size, size)))
     for matrix in pair:
-        matrix.data, matrix.indices, matrix.indptr = data, columns, indptr
+        matrix.data, matrix.indices, matrix.indptr = data, indices, indptr
     return pair
 
 
@@ -78,9 +100,11 @@ class NeighborIndex:
         if r <= 0:
             raise ValueError("r must be positive")
         self.r = float(r)
-        self.positions = np.column_stack((field.x, field.y))
+        self.positions = np.column_stack((field.x, field.y)).astype(np.float64, copy=False)
         self.n = self.positions.shape[0]
+        self._id_bits = max(self.n - 1, 0).bit_length()  # bits of a sensor id in a packed key
         self._tree: cKDTree | None = None
+        self._raw: tuple[np.ndarray, np.ndarray] | None = None  # listing in the tree's order
         self._pairs: tuple[np.ndarray, np.ndarray] | None = None
         self._counts: np.ndarray | None = None
         self._wider: NeighborIndex | None = None  # widest index, whose listing this one cuts
@@ -111,37 +135,45 @@ class NeighborIndex:
                 # slower on bins that follow no order along the listing
                 keep = np.flatnonzero(widest._radius_bins() <= widest._radii.index(self.r))
                 self._pairs = (i.take(keep), j.take(keep))
-            elif self.n == 0:
-                empty = np.empty(0, dtype=np.int32)
-                self._pairs = (empty, empty)
             else:
-                raw = self.tree.query_pairs(self.r, output_type="ndarray")
-                # i < j, so the unique key i*n + j sorts exactly as (i, j) does
-                key = raw[:, 0] * self.n + raw[:, 1]
-                del raw  # one int64 copy of the listing at a time bounds peak memory
-                key.sort()
-                # int32 ids halve the memory of the listing and its cuts
-                self._pairs = ((key // self.n).astype(np.int32),
-                               (key % self.n).astype(np.int32))
+                bins, width = self._bins, (len(self._radii) - 1).bit_length()
+                key = _sort_packed([(ids, self._id_bits) for ids in self._listing()]
+                                   + ([] if bins is None else [(bins, width)]))
+                self._raw = None  # the key holds the listing now
+                if bins is not None:  # carried through the sort, so never binned twice
+                    np.bitwise_and(key, (1 << width) - 1, out=bins, casting="unsafe")
+                    key >>= width
+                i = key >> self._id_bits
+                key &= (1 << self._id_bits) - 1
+                self._pairs = tuple(ids.view(np.int32) if ids.itemsize == 4 else ids.astype(np.int32)
+                                    for ids in (i, key))
         return self._pairs
+
+    def _listing(self) -> tuple[np.ndarray, np.ndarray]:
+        """The widest index's int32 listing: in (i, j) order once sorted, else in the tree's."""
+        if self._pairs is None and self._raw is None:
+            raw = self.tree.query_pairs(self.r, output_type="ndarray")
+            # int32 ids halve the memory of the listing and its cuts
+            self._raw = (raw[:, 0].astype(np.int32), raw[:, 1].astype(np.int32))
+        return self._raw if self._pairs is None else self._pairs
 
     def _radius_bins(self) -> np.ndarray:
         """Each listed pair's count of the smaller registered radii that miss it.
 
-        Widest index only. A pair the tree lists at the widest radius stays in
-        its bin, so the widest radius's own test is never repeated on its listing.
+        Widest index only, in the order of its listing. A pair the tree lists at
+        the widest radius stays in its bin, so the widest radius's own test is
+        never repeated on its listing.
         """
         if self._bins is None:
-            i, j = self.pairs
-            dx = self.positions[i, 0] - self.positions[j, 0]
-            dy = self.positions[i, 1] - self.positions[j, 1]
-            dx *= dx  # in place: two pair-sized arrays at a time, not four
-            dy *= dy
-            dx += dy
-            del dy
+            i, j = self._listing()
+            points = self.positions.view(np.complex128).ravel()  # one gather per endpoint
             self._bins = np.zeros(i.size, dtype=np.min_scalar_type(len(self._radii) - 1))
-            for r in self._radii[:-1]:
-                self._bins += dx > r * r
+            for start in range(0, i.size, _CHUNK):
+                d = points.take(i[start:start + _CHUNK]) - points.take(j[start:start + _CHUNK])
+                sq = d.real * d.real + d.imag * d.imag  # dx*dx + dy*dy, the tree's own test
+                bins = self._bins[start:start + _CHUNK]
+                for r in self._radii[:-1]:
+                    bins += sq > r * r
         return self._bins
 
     def within(self, r: float) -> "NeighborIndex":
@@ -164,7 +196,7 @@ class NeighborIndex:
             widest._bins = widest._block = widest._ones = widest._last = None
         index = copy.copy(widest)
         index.r = r
-        index._pairs = index._counts = None
+        index._raw = index._pairs = index._counts = None
         index._radii = index._bins = index._block = index._ones = index._last = None
         index._adjacency = index._unit = None
         index._wider = widest
@@ -176,18 +208,20 @@ class NeighborIndex:
         Widest index only. The first call builds (B, B.T), kept with the bins.
         """
         if self._block is None:
-            size = len(self._radii) * self.n
-            bins = self._radius_bins()
-            i, j = self.pairs
-            order = np.argsort(bins, kind="stable")  # (bin, i, j): B's CSR entry order
+            radii, s = len(self._radii), self._id_bits
+            size = radii * self.n
             itype = np.int32 if size < 2**31 else np.int64
-            rows = bins[order].astype(itype)
-            rows *= self.n
-            columns = j[order].astype(itype, copy=False)
-            columns += rows
-            rows += i[order]
-            del order
-            self._block = _csr_and_csc(np.ones(i.size, dtype=np.int32), rows, columns, size)
+            key = _sort_packed([(self._radius_bins(), (radii - 1).bit_length()),
+                                *((ids, s) for ids in self._listing())])  # B's CSR order
+            starts = (np.arange(radii, dtype=key.dtype)[:, None] << 2 * s
+                      | np.arange(self.n, dtype=key.dtype) << s)  # each row's first key
+            indptr = np.append(np.searchsorted(key, starts.ravel()), key.size).astype(itype)
+            key &= (1 << s) - 1
+            columns = key.astype(itype)
+            del key
+            for k in range(1, radii):  # block k's columns start at k*n
+                columns[indptr[k * self.n]:indptr[(k + 1) * self.n]] += k * self.n
+            self._block = _csr_and_csc(np.ones(columns.size, dtype=np.int32), columns, indptr)
         upper, lower = self._block
         x = np.tile(np.asarray(values, dtype=np.int32), len(self._radii))
         flat = upper @ x + lower @ x
@@ -203,8 +237,8 @@ class NeighborIndex:
                     widest._ones = widest._tally(np.ones(self.n, dtype=bool))
                 self._counts = widest._ones[widest._radii.index(self.r)].copy()
             else:
-                i, j = self.pairs
-                self._counts = np.bincount(i, minlength=self.n) + np.bincount(j, minlength=self.n)
+                upper = self._upper_and_lower()[0]
+                self._counts = np.diff(upper.indptr) + np.bincount(upper.indices, minlength=self.n)
         return self._counts
 
     def neighbors_within(self, s) -> np.ndarray:
@@ -236,9 +270,10 @@ class NeighborIndex:
         if self._adjacency is None:
             widest = self._wider or self
             if widest._unit is None:
-                widest._unit = np.ones(widest.pairs[0].size)
+                widest._unit = np.ones(widest._listing()[0].size)
             i, j = self.pairs
-            self._adjacency = _csr_and_csc(widest._unit[:i.size], i, j, self.n)
+            indptr = np.searchsorted(i, np.arange(self.n + 1, dtype=i.dtype)).astype(i.dtype)
+            self._adjacency = _csr_and_csc(widest._unit[:i.size], j, indptr)
             if self._wider is not None:
                 self._pairs = None  # U's column indices and row pointers hold the pairs now
         return self._adjacency

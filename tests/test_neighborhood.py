@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boundaryvote.geometry import region_xs
-from boundaryvote.neighborhood import build_index, neighbors_within
+from boundaryvote.neighborhood import _sort_packed, build_index, neighbors_within
 from boundaryvote.sampling import SensorField, assign_measurements, sample_field
 
 
@@ -199,6 +199,34 @@ class TestPrefixTally:
         assert np.array_equal(index.pairs[0], raw[order, 0])
         assert np.array_equal(index.pairs[1], raw[order, 1])
 
+    @pytest.mark.parametrize("n, r", [(2**16, 0.005), (2**16 + 1, 0.005), (75000, 0.004)])
+    def test_pairs_keep_the_lexsort_order_where_the_key_widens(self, n, r):
+        # 2**16 sensors fill a 32-bit (i, j) key, one more needs 64 bits, and
+        # a cut's bins widen the tally's and the cut's keys past 32 bits
+        rng = np.random.default_rng(n)
+        field = make_field(rng.random(n), rng.random(n))
+        wide = build_index(field, r)
+        cut = wide.within(r / 2)
+        values = rng.random(n) < 0.5
+        self.assert_matches_fresh(field, [wide, cut], values)
+        raw = wide.tree.query_pairs(r, output_type="ndarray")
+        order = np.lexsort((raw[:, 1], raw[:, 0]))
+        for index in (wide, build_index(field, r)):  # carrying the tally's bins, and alone
+            assert np.array_equal(index.pairs[0], raw[order, 0])
+            assert np.array_equal(index.pairs[1], raw[order, 1])
+        got, want = cut.pairs, build_index(field, r / 2).pairs
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[0].dtype == got[1].dtype == np.int32
+
+    def test_sort_key_past_64_bits_raises(self):
+        top = np.array([2**32 - 1, 0, 2**32 - 1], dtype=np.int64)
+        low = np.array([2**32 - 1, 1, 0], dtype=np.int64)
+        key = _sort_packed([(top, 32), (low, 32)])  # exactly 64 bits: no wrap
+        assert key.dtype == np.uint64
+        assert key.tolist() == [1, 2**64 - 2**32, 2**64 - 1]
+        with pytest.raises(OverflowError):
+            _sort_packed([(top, 32), (low, 33)])
+
 
 @st.composite
 def call_order_case(draw):
@@ -206,7 +234,7 @@ def call_order_case(draw):
     n, field, radii = draw_field_and_radii(draw, max_radii=5)
     values = draw(st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))
     calls = draw(st.permutations(("pairs", "counts", "count_sums", "weighted_sums")))
-    return field, radii, draw(st.floats(0.005, max(radii))), values, calls
+    return field, radii, draw(st.floats(0.005, max(radii))), values, calls, draw(st.booleans())
 
 
 class TestCutsFromBins:
@@ -215,11 +243,14 @@ class TestCutsFromBins:
     @settings(max_examples=150, deadline=None)
     @given(call_order_case())
     def test_cuts_match_fresh_indexes_in_any_order(self, case):
-        field, radii, late_r, values, calls = case
+        field, radii, late_r, values, calls, pairs_first = case
         wide = build_index(field, max(radii))
         indexes = [wide] + [wide.within(r) for r in radii]
-        indexes[-1].pairs  # listed from the first bins
+        if pairs_first:
+            indexes[-1].pairs  # sorts the listing, then bins it in (i, j) order
         wide.count_sums(values)  # a tally; the late radius then rebuilds the bins
+        if not pairs_first:
+            indexes[-1].pairs  # sorts the tree's listing, carrying the tally's bins
         indexes.append(wide.within(late_r))
         for index in indexes:
             fresh = build_index(field, index.r)
@@ -288,6 +319,13 @@ class TestEdgeCases:
         assert np.array_equal(index.counts, np.zeros(0))
         with pytest.raises(IndexError):
             neighbors_within(index, 0)
+
+    def test_integer_coordinates(self):
+        ints = SensorField(x=np.array([0, 1, 3, 4]), y=np.array([0, 0, 0, 2]), lam=4.0, seed=0)
+        floats = make_field(ints.x, ints.y)
+        wide = build_index(ints, 2.5)
+        for index in (wide, wide.within(1.0), wide.within(2.0)):
+            assert np.array_equal(index.counts, build_index(floats, index.r).counts), index.r
 
     def test_isolated_sensor(self):
         field = make_field([0.1, 0.9], [0.1, 0.9])
