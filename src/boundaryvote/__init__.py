@@ -19,8 +19,7 @@ from .harness import (GridError, SimConfig, SweepResult, SweepRow, TrialMetrics,
                       sweep_csv_string, trial_seed, write_sweep_csv)
 from .neighborhood import NeighborIndex, build_index, neighbors_within
 from .render import render_field
-from .sampling import (Sensor, SensorField, assign_measurements, sample_field,
-                       write_field_csv)
+from .sampling import SensorField, assign_measurements, sample_field, write_field_csv
 from .vote import (SINGLE_ROUND, VoteMode, VoteOutcome, majority_round,
                    multi_round, multi_round_mode, round_count, run_vote)
 

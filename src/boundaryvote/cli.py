@@ -9,15 +9,15 @@ propagates with its traceback (exit code 1).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
-
-import numpy as np
 
 from . import bounds as bounds_mod
 from .geometry import RoundedRect, build_comb, build_thin_rectangle, region_xl, region_xs
 from .harness import (METRIC_FIELDS, GridError, SimConfig, best_radius, bound_table,
-                      run_trial, run_trial_field, sweep, write_sweep_csv, _fmt)
+                      mean_and_se, run_trial, run_trial_field, sweep, write_sweep_csv,
+                      _fmt, _write_table)
 from .render import render_field
 from .sampling import write_field_csv
 from .vote import SINGLE_ROUND, multi_round_mode, round_count
@@ -30,6 +30,8 @@ class ConfigError(Exception):
 PAPER_R_GRID = tuple(round(0.005 * k, 10) for k in range(1, 21))
 PAPER_P_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35)
 PAPER_LAM_GRID = (2500.0, 5000.0, 10000.0, 20000.0)
+
+NAMED_REGIONS = {"xs": region_xs, "xl": region_xl}
 
 
 def parse_config_file(path: str) -> dict:
@@ -51,45 +53,50 @@ def parse_config_file(path: str) -> dict:
 
 def _get(cfg: dict, key: str, flag_value, default, cast):
     if flag_value is not None:
-        return flag_value
-    if key in cfg:
+        value = flag_value
+    elif key in cfg:
         try:
-            return cast(cfg[key])
+            value = cast(cfg[key])
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {cfg[key]}") from exc
-    return default
+    else:
+        value = default
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key}={value} must be finite")
+    return value
 
 
 def build_region(cfg: dict, args, default_r: float):
     rtype = _get(cfg, "region.type", getattr(args, "region_type", None), "xs", str).lower()
-    if rtype == "xs":
-        return region_xs()
-    if rtype == "xl":
-        return region_xl()
-    if rtype == "rounded_rect":
-        cx = _get(cfg, "region.cx", args.region_cx, 0.5, float)
-        cy = _get(cfg, "region.cy", args.region_cy, 0.5, float)
-        width = _get(cfg, "region.width", args.region_width, 0.4, float)
-        height = _get(cfg, "region.height", args.region_height, 0.4, float)
-        rho = _get(cfg, "region.corner_radius", args.region_corner_radius, 0.1, float)
-        try:
+    if rtype in NAMED_REGIONS:
+        return NAMED_REGIONS[rtype]()
+    try:
+        if rtype == "rounded_rect":
+            cx = _get(cfg, "region.cx", args.region_cx, 0.5, float)
+            cy = _get(cfg, "region.cy", args.region_cy, 0.5, float)
+            width = _get(cfg, "region.width", args.region_width, 0.4, float)
+            height = _get(cfg, "region.height", args.region_height, 0.4, float)
+            rho = _get(cfg, "region.corner_radius", args.region_corner_radius, 0.1, float)
             return RoundedRect(cx, cy, width, height, rho)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if rtype == "thin_rect":
-        r = _get(cfg, "region.r", args.region_r, default_r, float)
-        try:
-            return build_thin_rectangle(r)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if rtype == "comb":
-        r = _get(cfg, "region.r", args.region_r, default_r, float)
-        ell = _get(cfg, "region.ell", args.region_ell, 8 * r, float)
-        try:
-            return build_comb(r, ell)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if rtype in ("thin_rect", "comb"):
+            r = _get(cfg, "region.r", args.region_r, default_r, float)
+            if rtype == "thin_rect":
+                return build_thin_rectangle(r)
+            return build_comb(r, _get(cfg, "region.ell", args.region_ell, 8 * r, float))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown region.type {rtype!r}")
+
+
+def _vote_mode(cfg: dict, args):
+    name = _get(cfg, "mode", args.mode, "single", str).lower()
+    c = _get(cfg, "c", args.c, 0.5, float)
+    if name not in ("single", "multi"):
+        raise ConfigError(f"unknown mode {name!r} (expected single or multi)")
+    try:
+        return SINGLE_ROUND if name == "single" else multi_round_mode(c)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_sim_config(args) -> SimConfig:
@@ -99,13 +106,9 @@ def build_sim_config(args) -> SimConfig:
     r = _get(cfg, "r", args.r, 0.05, float)
     seed = _get(cfg, "seed", args.seed, 0, int)
     trials = _get(cfg, "trials", args.trials, 1, int)
-    mode_name = _get(cfg, "mode", args.mode, "single", str).lower()
-    c = _get(cfg, "c", args.c, 0.5, float)
-    if mode_name not in ("single", "multi"):
-        raise ConfigError(f"unknown mode {mode_name!r} (expected single or multi)")
+    mode = _vote_mode(cfg, args)
     region = build_region(cfg, args, r)
     try:
-        mode = SINGLE_ROUND if mode_name == "single" else multi_round_mode(c)
         return SimConfig(lam=lam, p=p, r=r, region=region, mode=mode,
                          seed=seed, trials=trials)
     except ValueError as exc:
@@ -134,15 +137,29 @@ def _add_common(parser):
 
 def _floats(text: str) -> tuple:
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"bad number list {text!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"bad number list {text!r}: numbers must be finite")
+    return values
 
 
-def _open_out(path):
+def _grids(args) -> tuple:
+    """The (r, p, lambda) grids of a sweep or bound table; the paper's where not given."""
+    return tuple(_floats(text) if text else grid for text, grid in (
+        (args.r_values, PAPER_R_GRID), (args.p_values, PAPER_P_GRID),
+        (args.lambda_values, PAPER_LAM_GRID)))
+
+
+@contextlib.contextmanager
+def _output(path):
+    """stdout for no path or "-", else the file at path, closed on exit."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
 
 
 def cmd_simulate(args) -> int:
@@ -151,46 +168,34 @@ def cmd_simulate(args) -> int:
     if args.dump_field:
         write_field_csv(field, args.dump_field)
     rows = [first] + [run_trial(config, t) for t in range(1, config.trials)]
-    agg = {}
-    for name in METRIC_FIELDS:
-        vals = np.array([getattr(m, name) for m in rows], dtype=float)
-        agg[name] = (vals.mean(), vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0)
     print(f"region={config.region.name} lambda={_fmt(config.lam)} p={_fmt(config.p)} "
           f"r={_fmt(config.r)} mode={config.mode.kind} trials={config.trials}")
     if config.mode.kind == "multi":
         print(f"rounds={round_count(config.p, config.r, config.mode.c)}")
-    for name, (mean, se) in agg.items():
+    for name in METRIC_FIELDS:
+        mean, se = mean_and_se([getattr(m, name) for m in rows])
         print(f"{name}_mean={mean:.6g} se={se:.4g}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    config = build_sim_config(args)
-    r_values = _floats(args.r_values) if args.r_values else PAPER_R_GRID
-    p_values = _floats(args.p_values) if args.p_values else PAPER_P_GRID
-    lam_values = _floats(args.lambda_values) if args.lambda_values else PAPER_LAM_GRID
-    region_names = [tok.strip().lower() for tok in args.regions.split(",") if tok.strip()]
-    regions = []
-    for name in region_names:
-        if name == "xs":
-            regions.append(region_xs())
-        elif name == "xl":
-            regions.append(region_xl())
-        else:
+    cfg = parse_config_file(args.config) if args.config else {}
+    seed = _get(cfg, "seed", args.seed, 0, int)
+    trials = _get(cfg, "trials", args.trials, 1, int)
+    mode = _vote_mode(cfg, args)
+    r_values, p_values, lam_values = _grids(args)
+    names = [tok.strip().lower() for tok in args.regions.split(",") if tok.strip()]
+    for name in names:
+        if name not in NAMED_REGIONS:
             raise ConfigError(f"unknown sweep region {name!r} (expected xs or xl)")
-    if not regions:
-        regions = [region_xs(), region_xl()]
+    regions = [NAMED_REGIONS[name]() for name in names or NAMED_REGIONS]
     try:
-        result = sweep(r_values, p_values, lam_values, regions, seed=config.seed,
-                       trials=config.trials, mode=config.mode, workers=args.workers)
+        result = sweep(r_values, p_values, lam_values, regions, seed=seed,
+                       trials=trials, mode=mode, workers=args.workers)
     except GridError as exc:
         raise ConfigError(str(exc)) from exc
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         write_sweep_csv(result, fh)
-    finally:
-        if close:
-            fh.close()
     if args.best_radius:
         for p in p_values:
             lo, hi = best_radius(result, p)
@@ -199,41 +204,31 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    config = build_sim_config(args)
-    region = config.region
-    r_values = _floats(args.r_values) if args.r_values else PAPER_R_GRID
-    p_values = _floats(args.p_values) if args.p_values else PAPER_P_GRID
-    lam_values = _floats(args.lambda_values) if args.lambda_values else PAPER_LAM_GRID
+    region = build_sim_config(args).region
     try:
-        reports = bound_table(r_values, p_values, lam_values, [region])
+        reports = bound_table(*_grids(args), [region])
     except GridError as exc:
         raise ConfigError(str(exc)) from exc
-    fh, close = _open_out(args.out)
-    try:
-        fh.write("region,lambda,p,r,zr_area,area_outside,thm1_upper,thm1_lower,"
-                 "thm2_upper,thm3_upper,combined_upper\n")
-        for b in reports:
-            cells = [region.name, b.lam, b.p, b.r, b.zr_area, b.area_outside,
-                     b.thm1_upper, b.thm1_lower, b.thm2_upper, b.thm3_upper,
-                     b.combined_upper]
-            fh.write(",".join(_fmt(v) for v in cells) + "\n")
-    finally:
-        if close:
-            fh.close()
+    with _output(args.out) as fh:
+        _write_table(fh, ("region", "lambda", "p", "r", "zr_area", "area_outside",
+                          "thm1_upper", "thm1_lower", "thm2_upper", "thm3_upper",
+                          "combined_upper"),
+                     ([region.name, b.lam, b.p, b.r, b.zr_area, b.area_outside, b.thm1_upper,
+                       b.thm1_lower, b.thm2_upper, b.thm3_upper, b.combined_upper]
+                      for b in reports))
     return 0
 
 
 def cmd_worstcase(args) -> int:
-    lam = args.lam if args.lam is not None else 20000.0
-    p = args.p if args.p is not None else 0.25
-    r = args.r if args.r is not None else 0.05
-    trials = args.trials if args.trials is not None else 200
-    seed = args.seed if args.seed is not None else 0
+    lam = _get({}, "lambda", args.lam, 20000.0, float)
+    p = _get({}, "p", args.p, 0.25, float)
+    r = _get({}, "r", args.r, 0.05, float)
+    trials = _get({}, "trials", args.trials, 200, int)
+    seed = _get({}, "seed", args.seed, 0, int)
     if args.shape == "thin":
-        lower_target = 0.5 * lam * r * r
-        ell = math.nan
+        ell, lower_target = math.nan, 0.5 * lam * r * r
     else:
-        ell = args.ell if args.ell is not None else 8 * r
+        ell = _get({}, "ell", args.ell, 8 * r, float)
         lower_target = lam * ell * ell / 32.0
     try:
         region = build_thin_rectangle(r) if args.shape == "thin" else build_comb(r, ell)
@@ -241,20 +236,13 @@ def cmd_worstcase(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = [run_trial(config, t) for t in range(trials)]
-    in_zr = np.array([m.errors_in_zr for m in rows], dtype=float)
     t2 = bounds_mod.thm2_upper(lam, r, region.perimeter, region.components)
-    fh, close = _open_out(args.out)
-    try:
-        fh.write("shape,lambda,p,r,ell,trials,n_sensors_mean,errors_in_zr_mean,"
-                 "errors_in_zr_se,thm2_upper,lower_target\n")
-        se = in_zr.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
-        cells = [args.shape, lam, p, r, ell, trials,
-                 float(np.mean([m.n_sensors for m in rows])),
-                 float(in_zr.mean()), se, t2, lower_target]
-        fh.write(",".join(_fmt(v) for v in cells) + "\n")
-    finally:
-        if close:
-            fh.close()
+    with _output(args.out) as fh:
+        _write_table(fh, ("shape", "lambda", "p", "r", "ell", "trials", "n_sensors_mean",
+                          "errors_in_zr_mean", "errors_in_zr_se", "thm2_upper", "lower_target"),
+                     [[args.shape, lam, p, r, ell, trials,
+                       mean_and_se([m.n_sensors for m in rows])[0],
+                       *mean_and_se([m.errors_in_zr for m in rows]), t2, lower_target]])
     return 0
 
 

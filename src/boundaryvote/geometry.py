@@ -311,16 +311,6 @@ class RoundedRect:
         rho = max(self.corner_radius - r, 0.0)
         return w * h - (4.0 - math.pi) * rho * rho
 
-    def descriptor(self) -> dict:
-        return {
-            "region.type": "rounded_rect",
-            "region.cx": repr(self.cx),
-            "region.cy": repr(self.cy),
-            "region.width": repr(self.width),
-            "region.height": repr(self.height),
-            "region.corner_radius": repr(self.corner_radius),
-        }
-
 
 class Comb:
     """Serpentine of thin horizontal strips joined by semicircular turns.
@@ -355,7 +345,7 @@ class Comb:
         self.area = self._boundary.enclosed_area()
         if self.area <= 0:
             raise AssertionError("comb boundary traversal is not CCW")
-        x0, y0, x1, y1 = self._raw_bbox()
+        x0, y0, x1, y1 = self.bbox()
         if x1 - x0 >= 1.0 or y1 - y0 >= 1.0:
             raise ValueError("comb does not fit in the unit square")
         # recenter in Y
@@ -462,7 +452,7 @@ class Comb:
         pieces.extend(self._cap_pieces(0, "left" if self._cap_left[0] else "right"))
         return pieces
 
-    def _raw_bbox(self):
+    def bbox(self):
         r, n = self.r, self.strip_count
         xs_min, xs_max, ys_min, ys_max = [], [], [], []
         for i in range(n):
@@ -484,10 +474,6 @@ class Comb:
         self._rights = [x + dx for x in self._rights]
         self._boundary = BoundaryPath(self._trace_pieces())
 
-    def bbox(self):
-        x0, y0, x1, y1 = self._raw_bbox()
-        return (x0, y0, x1, y1)
-
     @property
     def boundary(self) -> BoundaryPath:
         return self._boundary
@@ -502,13 +488,6 @@ class Comb:
     def contains(self, x, y):
         """Closed-region membership: boundary points count as inside."""
         return self.signed_distance(x, y) >= 0.0
-
-    def descriptor(self) -> dict:
-        return {
-            "region.type": "comb",
-            "region.r": repr(self.r),
-            "region.ell": repr(self.ell),
-        }
 
 
 # The two experiment regions: equal area, different perimeter.
@@ -530,10 +509,7 @@ def build_thin_rectangle(r: float) -> RoundedRect:
         raise ValueError("r must be positive")
     if 4.0 * r >= 1.0:
         raise ValueError("thin rectangle of width 4r does not fit in the unit square")
-    region = RoundedRect(0.5, 0.5, 4.0 * r, r / 2.0, 0.0, name=f"thin_rect_r{r:g}")
-    region.kind = "thin_rect"
-    region.thin_r = float(r)
-    return region
+    return RoundedRect(0.5, 0.5, 4.0 * r, r / 2.0, 0.0, name=f"thin_rect_r{r:g}")
 
 
 def build_comb(r: float, ell: float) -> Comb:

@@ -120,13 +120,35 @@ def run_trial(config: SimConfig, trial_index: int = 0) -> TrialMetrics:
 
 def run_trial_field(config: SimConfig, trial_index: int = 0):
     """Like run_trial but also returns the field and vote outcome (for rendering)."""
-    seed = trial_seed(config.seed, config.lam, trial_index)
-    field = assign_measurements(sample_field(config.lam, seed), config.region, config.p, seed)
-    index = build_index(field, config.r)
-    outcome = run_vote(field, index, config.mode)
-    metrics = compute_metrics(field.truth, field.measured, outcome.decided,
-                              field.boundary_dist, config.r)
-    return field, outcome, metrics
+    return next(_cells(config.seed, config.lam, trial_index, (config.region,),
+                       (config.p,), (config.r,), config.mode))
+
+
+def _cells(master_seed, lam, trial, regions, p_values, r_values, mode):
+    """(field, outcome, metrics) of one sampled field's every (region, p, r) cell, in grid order.
+
+    The cells share the field and one pair listing at the largest radius,
+    which `within` cuts down to each smaller one.
+    """
+    seed = trial_seed(master_seed, lam, trial)
+    field = sample_field(lam, seed)
+    widest = build_index(field, max(r_values))
+    indexes = [widest.within(r) for r in r_values]
+    for region in regions:
+        for p in p_values:
+            measured = assign_measurements(field, region, p, seed)
+            for index in indexes:
+                outcome = run_vote(measured, index, mode)
+                yield measured, outcome, compute_metrics(
+                    measured.truth, measured.measured, outcome.decided,
+                    measured.boundary_dist, index.r)
+
+
+def mean_and_se(values) -> tuple[float, float]:
+    """Mean of a 1-D vector of trial values and its standard error (0 for one trial)."""
+    values = np.asarray(values, dtype=float)
+    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+    return float(values.mean()), se
 
 
 # ---------------------------------------------------------------------------
@@ -181,29 +203,14 @@ class SweepResult:
 
 
 def _field_unit(master_seed, lam, trial, regions, p_values, r_values, mode):
-    """All metrics for one sampled field across every (region, p, r) cell.
-
-    The steps are run_trial's; the cells share the field and one pair listing
-    at the largest radius, which `within` cuts down to each smaller one.
-    """
-    seed = trial_seed(master_seed, lam, trial)
-    field = sample_field(lam, seed)
-    widest = build_index(field, max(r_values))
-    indexes = [widest.within(r) for r in r_values]
-    out = np.empty((len(regions), len(p_values), len(r_values), len(METRIC_FIELDS)))
-    for gi, region in enumerate(regions):
-        for pi, p in enumerate(p_values):
-            measured = assign_measurements(field, region, p, seed)
-            for ri, index in enumerate(indexes):
-                outcome = run_vote(measured, index, mode)
-                m = compute_metrics(measured.truth, measured.measured, outcome.decided,
-                                    measured.boundary_dist, index.r)
-                out[gi, pi, ri] = [getattr(m, f) for f in METRIC_FIELDS]
-    return out
+    """All metrics of one sampled field, shaped (regions, p values, r values, metrics)."""
+    cells = _cells(master_seed, lam, trial, regions, p_values, r_values, mode)
+    out = np.array([[getattr(m, f) for f in METRIC_FIELDS] for _, _, m in cells], dtype=float)
+    return out.reshape(len(regions), len(p_values), len(r_values), len(METRIC_FIELDS))
 
 
 class GridError(ValueError):
-    """A sweep or bound-table grid value outside the domain of the model or its bounds."""
+    """A sweep or bound-table input outside the domain of the model or its bounds."""
 
 
 def bound_table(r_values, p_values, lam_values, regions) -> list:
@@ -244,13 +251,15 @@ def sweep(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int
     order, so the output is identical for any worker count. The grids and
     the bounds are checked before any field is sampled.
     """
+    if seed < 0:
+        raise GridError("seed must be nonnegative")
+    if trials < 1:
+        raise GridError("trials must be at least 1")
     r_values = tuple(float(v) for v in r_values)
     p_values = tuple(float(v) for v in p_values)
     lam_values = tuple(float(v) for v in lam_values)
     regions = tuple(regions)
     reports = iter(bound_table(r_values, p_values, lam_values, regions))
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     shape = (len(regions), len(lam_values), len(p_values), len(r_values),
              trials, len(METRIC_FIELDS))
     per_trial = np.empty(shape)
@@ -279,8 +288,7 @@ def sweep(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int
                     cell = per_trial[gi, li, pi, ri]  # (trials, metrics)
                     means = {f"{name}_mean": float(v)
                              for name, v in zip(METRIC_FIELDS, cell.mean(axis=0))}
-                    fe = cell[:, fi]
-                    se = float(fe.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+                    se = mean_and_se(cell[:, fi])[1]
                     b = next(reports)
                     rows.append(SweepRow(
                         region=region.name, lam=lam, p=p, r=r,
@@ -315,13 +323,8 @@ def best_radius(result: SweepResult, p: float, tie_se: float = 3.0) -> tuple[flo
     k0 = int(np.argmin(means))
     winners = []
     for k in range(agg.shape[0]):
-        diff = agg[k] - agg[k0]
-        mean_diff = float(diff.mean())
-        if k == k0 or mean_diff == 0.0:
-            winners.append(result.r_values[k])
-            continue
-        se = float(diff.std(ddof=1) / math.sqrt(diff.shape[0])) if diff.shape[0] > 1 else 0.0
-        if mean_diff <= tie_se * se:
+        mean_diff, se = mean_and_se(agg[k] - agg[k0])
+        if k == k0 or mean_diff == 0.0 or mean_diff <= tie_se * se:
             winners.append(result.r_values[k])
     return min(winners), max(winners)
 
@@ -339,20 +342,17 @@ def _fmt(value) -> str:
     return repr(f)
 
 
+def _write_table(fh, columns, rows) -> None:
+    """Write a header of column names and one comma-separated line per row of values."""
+    fh.write(",".join(columns) + "\n")
+    for values in rows:
+        fh.write(",".join(_fmt(v) for v in values) + "\n")
+
+
 def write_sweep_csv(result: SweepResult, fh) -> None:
     """Emit the sweep table with the fixed column set, one row per grid cell."""
-    fh.write(",".join(CSV_COLUMNS) + "\n")
-    for row in result.rows:
-        values = [
-            row.region, row.lam, row.p, row.r, row.mode, row.trials,
-            row.n_sensors_mean, row.initial_errors_mean, row.final_errors_mean,
-            row.final_errors_se, row.corrected_mean, row.new_errors_mean,
-            row.errors_in_zr_mean, row.errors_in_zr_and_x_mean,
-            row.correction_rate_mean,
-            row.thm1_upper, row.thm1_lower, row.thm2_upper, row.thm3_upper,
-            row.combined_upper,
-        ]
-        fh.write(",".join(_fmt(v) for v in values) + "\n")
+    fields = ["lam" if name == "lambda" else name for name in CSV_COLUMNS]
+    _write_table(fh, CSV_COLUMNS, ([getattr(row, f) for f in fields] for row in result.rows))
 
 
 def sweep_csv_string(result: SweepResult) -> str:

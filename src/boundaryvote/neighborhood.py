@@ -10,7 +10,7 @@ Every listing is sorted once, on one packed unsigned key decoded by shifts
 and masks: with s the bit length of n - 1, (i << s) | j, uint32 while
 2s <= 32 and uint64 beyond. A key past 64 bits raises OverflowError.
 
-A wide index with cuts keeps one radius bin per listed pair, in the
+The widest index keeps one radius bin per listed pair, in the
 smallest unsigned type that holds the radius count (uint8 up to 256 radii):
 the number of registered radii below its own whose closed ball misses the
 pair, by the test above. The radii that miss a pair are the smallest ones,
@@ -34,9 +34,8 @@ is the tally of the all-ones vector, kept for the life of the bins. The last
 other tally is cached with a copy of its input and served again only to an
 equal vector, so the cuts of a field voting on one measurement vector share
 a single pass, and a vector changed in place is never answered from a stale
-tally. A lone radius has nothing to share: its `count_sums` is the
-multi-round product below over 0/1 values, also exact, and its `counts` are
-U's row lengths plus its column counts.
+tally. A lone radius is the case R = 1: every pair is in bin 0, so B is U
+with int32 entries, and the radius bins cost no distance.
 
 Multi-round voting sums real scores with two sparse matrix-vector products,
 `weighted_sums(v) = U @ v + U.T @ v`. U is the upper adjacency in CSR form:
@@ -168,11 +167,12 @@ class NeighborIndex:
             i, j = self._listing()
             points = self.positions.view(np.complex128).ravel()  # one gather per endpoint
             self._bins = np.zeros(i.size, dtype=np.min_scalar_type(len(self._radii) - 1))
-            for start in range(0, i.size, _CHUNK):
+            smaller = self._radii[:-1]  # none for a lone radius: every pair is in bin 0
+            for start in range(0, i.size if smaller else 0, _CHUNK):
                 d = points.take(i[start:start + _CHUNK]) - points.take(j[start:start + _CHUNK])
                 sq = d.real * d.real + d.imag * d.imag  # dx*dx + dy*dy, the tree's own test
                 bins = self._bins[start:start + _CHUNK]
-                for r in self._radii[:-1]:
+                for r in smaller:
                     bins += sq > r * r
         return self._bins
 
@@ -232,18 +232,14 @@ class NeighborIndex:
         """Neighbor count per sensor."""
         if self._counts is None:
             widest = self._wider or self
-            if len(widest._radii) > 1:
-                if widest._ones is None:
-                    widest._ones = widest._tally(np.ones(self.n, dtype=bool))
-                self._counts = widest._ones[widest._radii.index(self.r)].copy()
-            else:
-                upper = self._upper_and_lower()[0]
-                self._counts = np.diff(upper.indptr) + np.bincount(upper.indices, minlength=self.n)
+            if widest._ones is None:
+                widest._ones = widest._tally(np.ones(self.n, dtype=bool))
+            self._counts = widest._ones[widest._radii.index(self.r)].copy()
         return self._counts
 
     def neighbors_within(self, s) -> np.ndarray:
         """Ids of all other sensors within the closed ball of radius r, ascending."""
-        sid = int(getattr(s, "id", s))
+        sid = int(s)
         if not 0 <= sid < self.n:
             raise IndexError(f"unknown sensor id {sid}")
         ids = self.tree.query_ball_point(self.positions[sid], self.r)
@@ -253,14 +249,10 @@ class NeighborIndex:
     def count_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-sensor number of neighbors whose boolean value is true (exact).
 
-        An index with cuts reads its row of the widest index's prefix tally;
-        a lone radius has nothing to share, so it bins nothing and sums 0/1
-        values with the multi-round products, which are exact for them.
+        Every index reads its row of the widest index's prefix tally.
         """
         v = np.asarray(values, dtype=bool)
         widest = self._wider or self
-        if len(widest._radii) == 1:
-            return self.weighted_sums(v).astype(np.int64)
         if widest._last is None or not np.array_equal(widest._last[0], v):
             widest._last = (v.copy(), widest._tally(v))
         return widest._last[1][widest._radii.index(self.r)].copy()

@@ -21,17 +21,6 @@ def _stream(seed: int, label: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class Sensor:
-    """Single-sensor view into a field (the field itself is array-backed)."""
-
-    id: int
-    x: float
-    y: float
-    truth: bool | None = None
-    measured: bool | None = None
-
-
-@dataclass(frozen=True)
 class SensorField:
     """Immutable sensor field; truth/measured appear after assign_measurements."""
 
@@ -48,17 +37,6 @@ class SensorField:
     @property
     def n(self) -> int:
         return self.x.shape[0]
-
-    def sensor(self, i: int) -> Sensor:
-        if not 0 <= i < self.n:
-            raise IndexError(f"sensor id {i} out of range")
-        return Sensor(
-            i,
-            float(self.x[i]),
-            float(self.y[i]),
-            None if self.truth is None else bool(self.truth[i]),
-            None if self.measured is None else bool(self.measured[i]),
-        )
 
 
 def sample_field(lam: float, seed: int) -> SensorField:

@@ -84,6 +84,13 @@ class TestExitCodes:
          "--region-width", "0.4", "--trials", "1"],
         ["bounds", "--region-type", "rounded_rect", "--region-cx", "0.9",
          "--region-width", "0.4"],
+        ["sweep", "--trials", "0"],
+        ["sweep", "--seed", "-1", "--trials", "1"],
+        ["worstcase", "--shape", "thin", "--r", "nan", "--trials", "2"],
+        ["worstcase", "--shape", "comb", "--lambda", "inf", "--trials", "1"],
+        ["simulate", "--lambda", "inf", "--trials", "1"],
+        ["simulate", "--c", "nan", "--mode", "multi", "--trials", "1"],
+        ["sweep", "--lambda-values", "2500,inf", "--trials", "1"],
     ])
     def test_bad_inputs_return_2(self, argv, capsys):
         assert main(argv) == 2
@@ -135,6 +142,13 @@ class TestSweepCommand:
         assert main(args + ["--workers", "2"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_ignores_single_configuration_options(self, capsys):
+        args = ["sweep", "--lambda-values", "100", "--r-values", "0.05", "--p-values", "0.1"]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        assert main(args + ["--region-type", "comb", "--r", "0.2"]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_best_radius_flag(self, capsys):
         rc = main(["sweep", "--lambda-values", "2000", "--p-values", "0.15",

@@ -91,13 +91,6 @@ class TestAssignMeasurements:
         se = np.std(errors, ddof=1) / math.sqrt(trials)
         assert abs(np.mean(errors) - lam * p) <= 3 * se
 
-    def test_sensor_view(self):
-        field = assign_measurements(sample_field(50, seed=2), region_xs(), 0.1)
-        s = field.sensor(0)
-        assert s.id == 0 and s.x == field.x[0] and s.truth == bool(field.truth[0])
-        with pytest.raises(IndexError):
-            field.sensor(field.n)
-
 
 class TestFieldCsv:
     def test_round_trip(self, tmp_path):
