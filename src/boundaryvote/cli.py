@@ -204,7 +204,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    region = build_sim_config(args).region
+    cfg = parse_config_file(args.config) if args.config else {}
+    region = build_region(cfg, args, _get(cfg, "r", args.r, 0.05, float))
     try:
         reports = bound_table(*_grids(args), [region])
     except GridError as exc:

@@ -2,31 +2,30 @@
 
 Neighborhoods are closed balls: sensors i and j are neighbors when
 dx*dx + dy*dy <= r*r, the k-d tree's own test, so two sensors at distance
-exactly r are neighbors. The bulk pair listing is cached as int32 ids so a
-whole field's neighbor sums cost one pass over the pair array, and `within`
-cuts a wide listing down to any smaller radius.
-
-Every listing is sorted once, on one packed unsigned key decoded by shifts
-and masks: with s the bit length of n - 1, (i << s) | j, uint32 while
-2s <= 32 and uint64 beyond. A key past 64 bits raises OverflowError.
+exactly r are neighbors. An index keeps one listing of its pairs (i, j),
+i < j, as int32 ids, sorted once on one packed unsigned key decoded by
+shifts and masks: with s the bit length of n - 1, (i << s) | j, uint32
+while 2s <= 32 and uint64 beyond; a key past 64 bits raises OverflowError.
+Everything else is built from that listing: the radius bins, the cuts to
+smaller radii, the tally matrix B, the multi-round adjacency U and
+`neighbors_within`.
 
 The widest index keeps one radius bin per listed pair, in the
 smallest unsigned type that holds the radius count (uint8 up to 256 radii):
 the number of registered radii below its own whose closed ball misses the
 pair, by the test above. The radii that miss a pair are the smallest ones,
-so the k-th radius's pairs are exactly those with bin <= k, and a cut lists
-them in the wide listing's (i, j) order without any distance. The wide
-listing keeps the tree's order until `pairs` asks for it, and that sort
-carries the bins in the key's low bits. Registering a new radius drops the
-bins, and the next cut or tally bins the listing again.
+so the k-th radius's pairs are exactly those with bin <= k, and a cut
+gathers them in the listing's (i, j) order without any distance.
+Registering a new radius drops the bins, and the next cut or tally bins the
+listing again.
 
 The same index answers `count_sums` and `counts` for all of its radii from
 one prefix tally. B is the (R*n, R*n) block-diagonal upper adjacency whose
 block k holds the pairs of bin k: an entry at row k*n + i, column k*n + j
-for each such pair i < j, so it has one entry per pair. One sort of the key
-(bin << 2s) | (i << s) | j over the listing puts the entries in B's CSR
-order; its low s bits are j, and a binary search of each row's first key
-gives the row pointers. With x the 0/1 vector tiled R times, row k*n + i of
+for each such pair i < j, so it has one entry per pair. B's CSR order is
+the listing stably partitioned by bin, so each block keeps the (i, j) order,
+and a block's row pointers count its pairs before each row's start in the
+listing. With x the 0/1 vector tiled R times, row k*n + i of
 B @ x + B.T @ x counts the neighbors of i in bin k that are set, and the
 cumulative sum over the radius axis of that (R, n) result is exactly every
 radius's integer sums; int32 products over int32 entries are exact. `counts`
@@ -34,18 +33,19 @@ is the tally of the all-ones vector, kept for the life of the bins. The last
 other tally is cached with a copy of its input and served again only to an
 equal vector, so the cuts of a field voting on one measurement vector share
 a single pass, and a vector changed in place is never answered from a stale
-tally. A lone radius is the case R = 1: every pair is in bin 0, so B is U
-with int32 entries, and the radius bins cost no distance.
+tally. A lone radius is the case R = 1: every pair is in bin 0, so B is the
+listing itself, with U's column indices and row pointers and int32 entries,
+and no pair is binned.
 
 Multi-round voting sums real scores with two sparse matrix-vector products,
 `weighted_sums(v) = U @ v + U.T @ v`. U is the upper adjacency in CSR form:
 row i holds the neighbors j > i in ascending order, so its column indices
-are the (i, j)-sorted listing's j and its row pointers a binary search of
-its sorted i. Row i of U @ v adds v[j] over j ascending, and the CSC product
-adds v[i] into row j over i ascending: the order in which two weighted
-`bincount`s over the listing add them, so the sums are the same bit for
-bit. One symmetric matrix U + U.T would interleave the two halves of each
-row and round differently, which can flip a tie at an exact-zero score. A
+are the listing's j and its row pointers a binary search of its sorted i.
+Row i of U @ v adds v[j] over j ascending, and the CSC product adds v[i]
+into row j over i ascending: the order in which two weighted `bincount`s
+over the listing add them, so the sums are the same bit for bit. One
+symmetric matrix U + U.T would interleave the two halves of each row and
+round differently, which can flip a tie at an exact-zero score. A
 cut keeps no listing once U exists; U's column indices hold its pairs at 4
 bytes each. Every U of a family shares one float64 array of ones, sized
 for the widest index, as its `data`.
@@ -64,7 +64,7 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
 
-_CHUNK = 1 << 16  # pairs binned at once: their temporaries stay in cache
+_CHUNK = 1 << 16  # pairs binned or partitioned at once: their temporaries stay in cache
 
 
 def _sort_packed(fields) -> np.ndarray:
@@ -81,6 +81,11 @@ def _sort_packed(fields) -> np.ndarray:
         key |= values.view(f"u{values.itemsize}")  # unsigned: no signed promotion
     key.sort()
     return key
+
+
+def _row_starts(rows, n: int) -> np.ndarray:
+    """CSR row pointers of ascending row ids: where each of rows 0..n starts, in rows' dtype."""
+    return np.searchsorted(rows, np.arange(n + 1, dtype=rows.dtype)).astype(rows.dtype)
 
 
 def _csr_and_csc(data, indices, indptr) -> tuple[sparse.csr_array, sparse.csc_array]:
@@ -101,9 +106,6 @@ class NeighborIndex:
         self.r = float(r)
         self.positions = np.column_stack((field.x, field.y)).astype(np.float64, copy=False)
         self.n = self.positions.shape[0]
-        self._id_bits = max(self.n - 1, 0).bit_length()  # bits of a sensor id in a packed key
-        self._tree: cKDTree | None = None
-        self._raw: tuple[np.ndarray, np.ndarray] | None = None  # listing in the tree's order
         self._pairs: tuple[np.ndarray, np.ndarray] | None = None
         self._counts: np.ndarray | None = None
         self._wider: NeighborIndex | None = None  # widest index, whose listing this one cuts
@@ -118,12 +120,6 @@ class NeighborIndex:
         self._unit: np.ndarray | None = None
 
     @property
-    def tree(self) -> cKDTree:
-        if self._tree is None:
-            self._tree = cKDTree(self.positions)
-        return self._tree
-
-    @property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All unordered neighbor pairs (i, j) with i < j, distance <= r, in (i, j) order."""
         if self._pairs is None:
@@ -135,26 +131,16 @@ class NeighborIndex:
                 keep = np.flatnonzero(widest._radius_bins() <= widest._radii.index(self.r))
                 self._pairs = (i.take(keep), j.take(keep))
             else:
-                bins, width = self._bins, (len(self._radii) - 1).bit_length()
-                key = _sort_packed([(ids, self._id_bits) for ids in self._listing()]
-                                   + ([] if bins is None else [(bins, width)]))
-                self._raw = None  # the key holds the listing now
-                if bins is not None:  # carried through the sort, so never binned twice
-                    np.bitwise_and(key, (1 << width) - 1, out=bins, casting="unsafe")
-                    key >>= width
-                i = key >> self._id_bits
-                key &= (1 << self._id_bits) - 1
+                raw = cKDTree(self.positions).query_pairs(self.r, output_type="ndarray")
+                s = max(self.n - 1, 0).bit_length()  # bits of a sensor id in the key
+                key = _sort_packed([(raw[:, 0], s), (raw[:, 1], s)])
+                del raw
+                i = key >> s
+                key &= (1 << s) - 1
+                # int32 ids halve the memory of the listing and its cuts
                 self._pairs = tuple(ids.view(np.int32) if ids.itemsize == 4 else ids.astype(np.int32)
                                     for ids in (i, key))
         return self._pairs
-
-    def _listing(self) -> tuple[np.ndarray, np.ndarray]:
-        """The widest index's int32 listing: in (i, j) order once sorted, else in the tree's."""
-        if self._pairs is None and self._raw is None:
-            raw = self.tree.query_pairs(self.r, output_type="ndarray")
-            # int32 ids halve the memory of the listing and its cuts
-            self._raw = (raw[:, 0].astype(np.int32), raw[:, 1].astype(np.int32))
-        return self._raw if self._pairs is None else self._pairs
 
     def _radius_bins(self) -> np.ndarray:
         """Each listed pair's count of the smaller registered radii that miss it.
@@ -164,15 +150,14 @@ class NeighborIndex:
         never repeated on its listing.
         """
         if self._bins is None:
-            i, j = self._listing()
+            i, j = self.pairs
             points = self.positions.view(np.complex128).ravel()  # one gather per endpoint
             self._bins = np.zeros(i.size, dtype=np.min_scalar_type(len(self._radii) - 1))
-            smaller = self._radii[:-1]  # none for a lone radius: every pair is in bin 0
-            for start in range(0, i.size if smaller else 0, _CHUNK):
+            for start in range(0, i.size, _CHUNK):
                 d = points.take(i[start:start + _CHUNK]) - points.take(j[start:start + _CHUNK])
                 sq = d.real * d.real + d.imag * d.imag  # dx*dx + dy*dy, the tree's own test
                 bins = self._bins[start:start + _CHUNK]
-                for r in smaller:
+                for r in self._radii[:-1]:
                     bins += sq > r * r
         return self._bins
 
@@ -196,7 +181,7 @@ class NeighborIndex:
             widest._bins = widest._block = widest._ones = widest._last = None
         index = copy.copy(widest)
         index.r = r
-        index._raw = index._pairs = index._counts = None
+        index._pairs = index._counts = None
         index._radii = index._bins = index._block = index._ones = index._last = None
         index._adjacency = index._unit = None
         index._wider = widest
@@ -208,19 +193,33 @@ class NeighborIndex:
         Widest index only. The first call builds (B, B.T), kept with the bins.
         """
         if self._block is None:
-            radii, s = len(self._radii), self._id_bits
-            size = radii * self.n
-            itype = np.int32 if size < 2**31 else np.int64
-            key = _sort_packed([(self._radius_bins(), (radii - 1).bit_length()),
-                                *((ids, s) for ids in self._listing())])  # B's CSR order
-            starts = (np.arange(radii, dtype=key.dtype)[:, None] << 2 * s
-                      | np.arange(self.n, dtype=key.dtype) << s)  # each row's first key
-            indptr = np.append(np.searchsorted(key, starts.ravel()), key.size).astype(itype)
-            key &= (1 << s) - 1
-            columns = key.astype(itype)
-            del key
-            for k in range(1, radii):  # block k's columns start at k*n
-                columns[indptr[k * self.n]:indptr[(k + 1) * self.n]] += k * self.n
+            radii, n = len(self._radii), self.n
+            i, j = self.pairs
+            starts = _row_starts(i, n)
+            if radii == 1:  # one bin: B's order is the listing's
+                columns, indptr = j, starts
+            else:
+                itype = np.int32 if radii * n < 2**31 else np.int64
+                bins = self._radius_bins()
+                # the listing stably partitioned by bin: blocks[k] holds bin k's listing
+                # positions, ascending, one piece per chunk, so the sort's buffer stays small
+                blocks = [[np.empty(0, dtype=np.intp)] for _ in range(radii)]
+                for start in range(0, bins.size, _CHUNK):
+                    chunk = bins[start:start + _CHUNK]
+                    local = np.argsort(chunk, kind="stable")
+                    cuts = np.searchsorted(chunk, np.arange(1, radii, dtype=bins.dtype), sorter=local)
+                    for pieces, piece in zip(blocks, np.split(local + start, cuts)):
+                        pieces.append(piece)
+                columns = np.empty(bins.size, dtype=itype)
+                indptr = np.empty(radii * n + 1, dtype=itype)
+                stop = 0
+                for k, pieces in enumerate(blocks):  # block k: rows k*n + i, columns k*n + j
+                    block = np.concatenate(pieces)
+                    start, stop = stop, stop + block.size
+                    columns[start:stop] = j.take(block)
+                    columns[start:stop] += k * n
+                    indptr[k * n:(k + 1) * n + 1] = start + np.searchsorted(block, starts)
+                del blocks, block  # freed before B's data is allocated
             self._block = _csr_and_csc(np.ones(columns.size, dtype=np.int32), columns, indptr)
         upper, lower = self._block
         x = np.tile(np.asarray(values, dtype=np.int32), len(self._radii))
@@ -242,9 +241,8 @@ class NeighborIndex:
         sid = int(s)
         if not 0 <= sid < self.n:
             raise IndexError(f"unknown sensor id {sid}")
-        ids = self.tree.query_ball_point(self.positions[sid], self.r)
-        out = np.array(sorted(k for k in ids if k != sid), dtype=np.int64)
-        return out
+        i, j = self.pairs
+        return np.concatenate((i[j == sid], j[i == sid])).astype(np.int64)
 
     def count_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-sensor number of neighbors whose boolean value is true (exact).
@@ -262,10 +260,9 @@ class NeighborIndex:
         if self._adjacency is None:
             widest = self._wider or self
             if widest._unit is None:
-                widest._unit = np.ones(widest._listing()[0].size)
+                widest._unit = np.ones(widest.pairs[0].size)
             i, j = self.pairs
-            indptr = np.searchsorted(i, np.arange(self.n + 1, dtype=i.dtype)).astype(i.dtype)
-            self._adjacency = _csr_and_csc(widest._unit[:i.size], j, indptr)
+            self._adjacency = _csr_and_csc(widest._unit[:i.size], j, _row_starts(i, self.n))
             if self._wider is not None:
                 self._pairs = None  # U's column indices and row pointers hold the pairs now
         return self._adjacency

@@ -143,11 +143,20 @@ class TestSweepCommand:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_ignores_single_configuration_options(self, capsys):
-        args = ["sweep", "--lambda-values", "100", "--r-values", "0.05", "--p-values", "0.1"]
+    @pytest.mark.parametrize("command, ignored", [
+        (["sweep"], ["--region-type", "comb", "--r", "0.2"]),
+        (["bounds", "--region-type", "xl"],
+         ["--p", "0.9", "--trials", "0", "--lambda", "0", "--seed", "-1", "--r", "-1",
+          "--mode", "multi", "--c", "-1"]),
+    ], ids=["sweep", "bounds"])
+    def test_ignores_single_configuration_options(self, command, ignored, capsys):
+        args = command + ["--lambda-values", "100", "--r-values", "0.05", "--p-values", "0.1"]
         assert main(args) == 0
         plain = capsys.readouterr().out
-        assert main(args + ["--region-type", "comb", "--r", "0.2"]) == 0
+        for option, value in zip(ignored[::2], ignored[1::2]):  # each alone, then all
+            assert main(args + [option, value]) == 0, option
+            assert capsys.readouterr().out == plain
+        assert main(args + ignored) == 0
         assert capsys.readouterr().out == plain
 
     def test_best_radius_flag(self, capsys):

@@ -5,18 +5,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from boundaryvote import neighborhood
 from boundaryvote.geometry import region_xs
+from boundaryvote.harness import SimConfig, _field_unit, run_trial_field
 from boundaryvote.neighborhood import _sort_packed, build_index, neighbors_within
 from boundaryvote.sampling import SensorField, assign_measurements, sample_field
+from boundaryvote.vote import SINGLE_ROUND, multi_round_mode
 
 
 def brute_force_neighbors(field, r):
+    """Each sensor's neighbor ids by the closed-ball test dx*dx + dy*dy <= r*r."""
     pos = np.column_stack((field.x, field.y))
-    d = np.hypot(pos[:, None, 0] - pos[None, :, 0], pos[:, None, 1] - pos[None, :, 1])
+    dx, dy = pos[:, None, 0] - pos[None, :, 0], pos[:, None, 1] - pos[None, :, 1]
+    d2 = dx * dx + dy * dy
     out = []
     for i in range(field.n):
-        ids = np.nonzero(d[i] <= r)[0]
+        ids = np.nonzero(d2[i] <= r * r)[0]
         out.append(ids[ids != i])
     return out
 
@@ -33,11 +39,13 @@ class TestExactness:
             n = int(rng.integers(1, 501))
             field = make_field(rng.random(n), rng.random(n))
             r = float(rng.uniform(0.02, 0.2))
-            index = build_index(field, r)
+            wide = build_index(field, 2 * r)
+            wide.within(r / 2)  # a third radius bin
             want = brute_force_neighbors(field, r)
-            for i in range(n):
-                got = neighbors_within(index, i)
-                assert np.array_equal(got, want[i]), (trial, i)
+            for index in (build_index(field, r), wide.within(r)):  # fresh, and a cut
+                for i in range(n):
+                    got = neighbors_within(index, i)
+                    assert np.array_equal(got, want[i]), (trial, i, index.r)
 
     def test_symmetry(self):
         rng = np.random.default_rng(37)
@@ -86,6 +94,18 @@ class TestWithin:
             got, want = wide.within(radius).pairs, build_index(field, radius).pairs
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert got[0].dtype == np.int32
+
+    def test_cuts_answer_neighbors_within_exactly(self):
+        r = 0.01
+        field = self.boundary_field(r, n=300)
+        d2 = (field.x[:300] - field.x[300:]) ** 2 + (field.y[:300] - field.y[300:]) ** 2
+        assert np.any(d2 <= r * r) and np.any(d2 > r * r)  # pairs on both sides
+        wide = build_index(field, 4 * r)
+        indexes = [wide.within(radius) for radius in (r, 2 * r, 4 * r)]  # every bin first
+        for index in indexes:
+            want = brute_force_neighbors(field, index.r)
+            for s in range(field.n):
+                assert np.array_equal(index.neighbors_within(s), want[s]), (index.r, s)
 
     def test_radius_above_index_rejected(self):
         index = build_index(make_field([0.5], [0.5]), 0.05)
@@ -196,24 +216,23 @@ class TestPrefixTally:
         rng = np.random.default_rng(59)
         field = make_field(rng.random(3000), rng.random(3000))
         index = build_index(field, 0.04)
-        raw = index.tree.query_pairs(0.04, output_type="ndarray")
+        raw = cKDTree(index.positions).query_pairs(0.04, output_type="ndarray")
         order = np.lexsort((raw[:, 1], raw[:, 0]))
         assert np.array_equal(index.pairs[0], raw[order, 0])
         assert np.array_equal(index.pairs[1], raw[order, 1])
 
     @pytest.mark.parametrize("n, r", [(2**16, 0.005), (2**16 + 1, 0.005), (75000, 0.004)])
     def test_pairs_keep_the_lexsort_order_where_the_key_widens(self, n, r):
-        # 2**16 sensors fill a 32-bit (i, j) key, one more needs 64 bits, and
-        # a cut's bins widen the tally's and the cut's keys past 32 bits
+        # 2**16 sensors fill a 32-bit (i, j) key, and one more needs 64 bits
         rng = np.random.default_rng(n)
         field = make_field(rng.random(n), rng.random(n))
         wide = build_index(field, r)
         cut = wide.within(r / 2)
         values = rng.random(n) < 0.5
         self.assert_matches_fresh(field, [wide, cut], values)
-        raw = wide.tree.query_pairs(r, output_type="ndarray")
+        raw = cKDTree(wide.positions).query_pairs(r, output_type="ndarray")
         order = np.lexsort((raw[:, 1], raw[:, 0]))
-        for index in (wide, build_index(field, r)):  # carrying the tally's bins, and alone
+        for index in (wide, build_index(field, r)):  # after a tally, and alone
             assert np.array_equal(index.pairs[0], raw[order, 0])
             assert np.array_equal(index.pairs[1], raw[order, 1])
         got, want = cut.pairs, build_index(field, r / 2).pairs
@@ -249,10 +268,10 @@ class TestCutsFromBins:
         wide = build_index(field, max(radii))
         indexes = [wide] + [wide.within(r) for r in radii]
         if pairs_first:
-            indexes[-1].pairs  # sorts the listing, then bins it in (i, j) order
+            indexes[-1].pairs  # sorts the listing, then bins it
         wide.count_sums(values)  # a tally; the late radius then rebuilds the bins
         if not pairs_first:
-            indexes[-1].pairs  # sorts the tree's listing, carrying the tally's bins
+            indexes[-1].pairs  # a cut from the tally's bins
         indexes.append(wide.within(late_r))
         for index in indexes:
             fresh = build_index(field, index.r)
@@ -406,3 +425,30 @@ class TestSums:
         assert np.all(i < j)
         order = np.lexsort((j, i))
         assert np.array_equal(order, np.arange(i.size))
+
+
+class TestOneSort:
+    """A field's pair listing is sorted once, whatever reads it."""
+
+    @pytest.fixture()
+    def sorts(self, monkeypatch):
+        calls = []
+
+        def counted(fields):
+            calls.append(len(fields))
+            return _sort_packed(fields)
+
+        monkeypatch.setattr(neighborhood, "_sort_packed", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", [SINGLE_ROUND, multi_round_mode(0.5)], ids=["single", "multi"])
+    def test_field_unit(self, sorts, mode):
+        # p = 0.3 at r = 0.02 runs 8 rounds, so the cuts' U are built too
+        _field_unit(3, 1500.0, 0, (region_xs(),), (0.05, 0.3), (0.02, 0.04, 0.06), mode)
+        assert sorts == [2]
+
+    def test_lone_multi_round_index(self, sorts):
+        config = SimConfig(lam=1500.0, p=0.3, r=0.05, region=region_xs(),
+                           mode=multi_round_mode(0.5), seed=3)
+        assert run_trial_field(config)[1].rounds_executed == 3
+        assert sorts == [2]
