@@ -66,7 +66,7 @@ def _get(cfg: dict, key: str, flag_value, default, cast):
     return value
 
 
-def build_region(cfg: dict, args, default_r: float):
+def build_region(cfg: dict, args):
     rtype = _get(cfg, "region.type", getattr(args, "region_type", None), "xs", str).lower()
     if rtype in NAMED_REGIONS:
         return NAMED_REGIONS[rtype]()
@@ -79,7 +79,9 @@ def build_region(cfg: dict, args, default_r: float):
             rho = _get(cfg, "region.corner_radius", args.region_corner_radius, 0.1, float)
             return RoundedRect(cx, cy, width, height, rho)
         if rtype in ("thin_rect", "comb"):
-            r = _get(cfg, "region.r", args.region_r, default_r, float)
+            r = _get(cfg, "region.r", args.region_r, None, float)
+            if r is None:  # the run's own radius, read only where it is the default
+                r = _get(cfg, "r", args.r, 0.05, float)
             if rtype == "thin_rect":
                 return build_thin_rectangle(r)
             return build_comb(r, _get(cfg, "region.ell", args.region_ell, 8 * r, float))
@@ -107,7 +109,7 @@ def build_sim_config(args) -> SimConfig:
     seed = _get(cfg, "seed", args.seed, 0, int)
     trials = _get(cfg, "trials", args.trials, 1, int)
     mode = _vote_mode(cfg, args)
-    region = build_region(cfg, args, r)
+    region = build_region(cfg, args)
     try:
         return SimConfig(lam=lam, p=p, r=r, region=region, mode=mode,
                          seed=seed, trials=trials)
@@ -205,7 +207,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg = parse_config_file(args.config) if args.config else {}
-    region = build_region(cfg, args, _get(cfg, "r", args.r, 0.05, float))
+    region = build_region(cfg, args)
     try:
         reports = bound_table(*_grids(args), [region])
     except GridError as exc:

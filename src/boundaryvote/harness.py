@@ -19,7 +19,7 @@ import numpy as np
 from .bounds import bound_report
 from .geometry import dubious_zone_areas
 from .neighborhood import build_index
-from .sampling import assign_measurements, sample_field
+from .sampling import assign_measurements_at, sample_field
 from .vote import SINGLE_ROUND, VoteMode, run_vote
 
 
@@ -128,20 +128,24 @@ def _cells(master_seed, lam, trial, regions, p_values, r_values, mode):
     """(field, outcome, metrics) of one sampled field's every (region, p, r) cell, in grid order.
 
     The cells share the field and one pair listing at the largest radius,
-    which `within` cuts down to each smaller one.
+    which `within` cuts down to each smaller one. The widest index is handed
+    every (region, p) measurement vector first, so that it tallies them
+    several to a word.
     """
     seed = trial_seed(master_seed, lam, trial)
     field = sample_field(lam, seed)
     widest = build_index(field, max(r_values))
     indexes = [widest.within(r) for r in r_values]
-    for region in regions:
-        for p in p_values:
-            measured = assign_measurements(field, region, p, seed)
-            for index in indexes:
-                outcome = run_vote(measured, index, mode)
-                yield measured, outcome, compute_metrics(
-                    measured.truth, measured.measured, outcome.decided,
-                    measured.boundary_dist, index.r)
+    widest.counts  # lists the pairs before the measurements exist, so they miss its peak
+    fields = [measured for region in regions
+              for measured in assign_measurements_at(field, region, p_values, seed)]
+    widest.share_tallies(measured.measured for measured in fields)
+    for measured in fields:
+        for index in indexes:
+            outcome = run_vote(measured, index, mode)
+            yield measured, outcome, compute_metrics(
+                measured.truth, measured.measured, outcome.decided,
+                measured.boundary_dist, index.r)
 
 
 def mean_and_se(values) -> tuple[float, float]:

@@ -25,17 +25,25 @@ block k holds the pairs of bin k: an entry at row k*n + i, column k*n + j
 for each such pair i < j, so it has one entry per pair. B's CSR order is
 the listing stably partitioned by bin, so each block keeps the (i, j) order,
 and a block's row pointers count its pairs before each row's start in the
-listing. With x the 0/1 vector tiled R times, row k*n + i of
-B @ x + B.T @ x counts the neighbors of i in bin k that are set, and the
-cumulative sum over the radius axis of that (R, n) result is exactly every
-radius's integer sums; int32 products over int32 entries are exact. `counts`
-is the tally of the all-ones vector, kept for the life of the bins. The last
-other tally is cached with a copy of its input and served again only to an
-equal vector, so the cuts of a field voting on one measurement vector share
-a single pass, and a vector changed in place is never answered from a stale
-tally. A lone radius is the case R = 1: every pair is in bin 0, so B is the
-listing itself, with U's column indices and row pointers and int32 entries,
-and no pair is binned.
+listing. With x a vector tiled R times, row k*n + i of B @ x + B.T @ x sums
+x over the neighbors of i in bin k, and the cumulative sum over the radius
+axis of that (R, n) result is every radius's sums. `counts` is the tally of
+the all-ones vector, kept for the life of the bins. A lone radius is the
+case R = 1: every pair is in bin 0, so B is the listing itself, with U's
+column indices and row pointers and int32 entries, and no pair is binned.
+
+A tally word carries several 0/1 vectors at once. Every neighbor count at
+every radius is at most M, the widest radius's largest count, so a 0/1
+vector fits in a w-bit lane, w = M.bit_length(), and q = 31 // w lanes fit
+one int32 word: lane l of the word holds vector l shifted left by w*l. The
+int32 products and the prefix sum add lanes without a carry crossing one,
+because every partial sum of a lane is nonnegative and at most the lane's
+final count, which is at most M < 2**w; so (row >> w*l) & (2**w - 1) is
+vector l's exact sums. The vectors handed to `share_tallies` are packed q at
+a time, in the order given, and any other vector is a one-lane word. The
+index keeps one word's (R, n) tally, with copies of the vectors in its
+lanes: a vector is answered from it only when it equals one of them, so a
+vector changed in place is never answered from a stale tally.
 
 Multi-round voting sums real scores with two sparse matrix-vector products,
 `weighted_sums(v) = U @ v + U.T @ v`. U is the upper adjacency in CSR form:
@@ -88,6 +96,12 @@ def _row_starts(rows, n: int) -> np.ndarray:
     return np.searchsorted(rows, np.arange(n + 1, dtype=rows.dtype)).astype(rows.dtype)
 
 
+def _lanes(most: int) -> tuple[int, int]:
+    """(w, q): the bits of a lane that holds 0..most, and the lanes one int32 word holds."""
+    w = max(int(most).bit_length(), 1)
+    return w, max(31 // w, 1)
+
+
 def _csr_and_csc(data, indices, indptr) -> tuple[sparse.csr_array, sparse.csc_array]:
     """A square CSR matrix and its transpose as CSC, both over the same three arrays."""
     size = indptr.size - 1
@@ -114,7 +128,8 @@ class NeighborIndex:
         self._bins: np.ndarray | None = None       # radius bin of each listed pair
         self._block: tuple[sparse.csr_array, sparse.csc_array] | None = None  # (B, B.T)
         self._ones: np.ndarray | None = None       # (R, n) tally of an all-ones vector
-        self._last: tuple[np.ndarray, np.ndarray] | None = None  # (values, tally)
+        self._shared: list[np.ndarray] = []        # copies of the vectors packed q at a time
+        self._word: tuple[list[np.ndarray], int, np.ndarray] | None = None  # (lanes, w, tally)
         # Multi-round state: (U, U.T), and on the widest index the ones they share.
         self._adjacency: tuple[sparse.csr_array, sparse.csc_array] | None = None
         self._unit: np.ndarray | None = None
@@ -178,17 +193,18 @@ class NeighborIndex:
         r = float(r)
         if r not in widest._radii:
             bisect.insort(widest._radii, r)
-            widest._bins = widest._block = widest._ones = widest._last = None
+            widest._bins = widest._block = widest._ones = widest._word = None
         index = copy.copy(widest)
         index.r = r
         index._pairs = index._counts = None
-        index._radii = index._bins = index._block = index._ones = index._last = None
+        index._radii = index._bins = index._block = index._ones = index._word = None
+        index._shared = []
         index._adjacency = index._unit = None
         index._wider = widest
         return index
 
-    def _tally(self, values: np.ndarray) -> np.ndarray:
-        """(R, n) sums of a boolean vector over the neighbors at every registered radius.
+    def _tally(self, word: np.ndarray) -> np.ndarray:
+        """(R, n) int32 sums of an int32 word over the neighbors at every registered radius.
 
         Widest index only. The first call builds (B, B.T), kept with the bins.
         """
@@ -222,18 +238,22 @@ class NeighborIndex:
                 del blocks, block  # freed before B's data is allocated
             self._block = _csr_and_csc(np.ones(columns.size, dtype=np.int32), columns, indptr)
         upper, lower = self._block
-        x = np.tile(np.asarray(values, dtype=np.int32), len(self._radii))
+        x = np.tile(word, len(self._radii))
         flat = upper @ x + lower @ x
-        return np.cumsum(flat.reshape(len(self._radii), self.n), axis=0, dtype=np.int64)
+        return np.cumsum(flat.reshape(len(self._radii), self.n), axis=0, dtype=np.int32)
+
+    def _count_tally(self) -> np.ndarray:
+        """(R, n) neighbor counts at every registered radius; widest index only."""
+        if self._ones is None:
+            self._ones = self._tally(np.ones(self.n, dtype=np.int32))
+        return self._ones
 
     @property
     def counts(self) -> np.ndarray:
         """Neighbor count per sensor."""
         if self._counts is None:
             widest = self._wider or self
-            if widest._ones is None:
-                widest._ones = widest._tally(np.ones(self.n, dtype=bool))
-            self._counts = widest._ones[widest._radii.index(self.r)].copy()
+            self._counts = widest._count_tally()[widest._radii.index(self.r)].astype(np.int64)
         return self._counts
 
     def neighbors_within(self, s) -> np.ndarray:
@@ -244,16 +264,49 @@ class NeighborIndex:
         i, j = self.pairs
         return np.concatenate((i[j == sid], j[i == sid])).astype(np.int64)
 
+    def share_tallies(self, vectors) -> None:
+        """Hand over the boolean vectors that `count_sums` will be asked for.
+
+        The widest index keeps copies and tallies them q to a word, so the
+        vectors of one word, at every radius, cost one pair of products.
+        """
+        widest = self._wider or self
+        widest._shared = [np.array(v, dtype=bool) for v in vectors]
+
+    def _lane(self, v: np.ndarray) -> tuple[int, int, np.ndarray]:
+        """(lane, w, (R, n) tally) of a word that holds v; widest index only.
+
+        The current word answers when one of its lanes equals v. Otherwise
+        the word is the q shared vectors whose group holds v, or v alone.
+        """
+        if self._word is not None:
+            lanes, w, tally = self._word
+            for lane, held in enumerate(lanes):
+                if np.array_equal(held, v):
+                    return lane, w, tally
+        w, q = _lanes(self._count_tally()[-1].max(initial=0))
+        lanes, lane = [v.copy()], 0
+        for k, held in enumerate(self._shared):
+            if np.array_equal(held, v):
+                lanes, lane = self._shared[k - k % q:k - k % q + q], k % q
+                break
+        self._word = None  # one word's tally alive at a time
+        word = np.zeros(self.n, dtype=np.int32)
+        for shift, held in enumerate(lanes):
+            word |= held.astype(np.int32) << (w * shift)
+        self._word = (lanes, w, self._tally(word))
+        return lane, w, self._word[2]
+
     def count_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-sensor number of neighbors whose boolean value is true (exact).
 
-        Every index reads its row of the widest index's prefix tally.
+        Every index reads its own radius's row of the widest index's prefix
+        tally of a word that holds the vector, and the vector's lane of it.
         """
-        v = np.asarray(values, dtype=bool)
         widest = self._wider or self
-        if widest._last is None or not np.array_equal(widest._last[0], v):
-            widest._last = (v.copy(), widest._tally(v))
-        return widest._last[1][widest._radii.index(self.r)].copy()
+        lane, w, tally = widest._lane(np.asarray(values, dtype=bool))
+        row = tally[widest._radii.index(self.r)]
+        return ((row >> (w * lane)) & ((1 << w) - 1)).astype(np.int64)
 
     def _upper_and_lower(self) -> tuple[sparse.csr_array, sparse.csc_array]:
         """U as CSR and U.T as CSC over the same arrays; a cut then drops its listing."""

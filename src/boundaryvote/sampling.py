@@ -55,22 +55,25 @@ def assign_measurements(field: SensorField, region, p: float, seed: int | None =
     flips independent of positions. The theorems assume p <= 1/2, so larger
     p is rejected.
     """
-    if not 0.0 <= p <= 0.5:
-        raise ValueError("p must lie in [0, 1/2]")
+    return assign_measurements_at(field, region, (p,), seed)[0]
+
+
+def assign_measurements_at(field: SensorField, region, p_values, seed: int | None = None) -> list:
+    """assign_measurements for each p in turn, from one signed distance and one flip draw.
+
+    The measured copies share their truth and boundary_dist arrays.
+    """
+    for p in p_values:
+        if not 0.0 <= p <= 0.5:
+            raise ValueError("p must lie in [0, 1/2]")
     if seed is None:
         seed = field.seed
     sd = np.asarray(region.signed_distance(field.x, field.y), dtype=float)
     truth = sd >= 0.0
     u = _stream(seed, _STREAM_FLIPS).random(field.n)
-    measured = truth ^ (u < p)
-    return replace(
-        field,
-        region_name=getattr(region, "name", None),
-        p=float(p),
-        truth=truth,
-        measured=measured,
-        boundary_dist=sd,
-    )
+    return [replace(field, region_name=getattr(region, "name", None), p=float(p),
+                    truth=truth, measured=truth ^ (u < p), boundary_dist=sd)
+            for p in p_values]
 
 
 def write_field_csv(field: SensorField, path) -> None:

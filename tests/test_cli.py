@@ -212,6 +212,33 @@ class TestBoundsCommand:
             assert b_cells[:4] == s_cells[:4]  # region, lambda, p, r
             assert b_cells[6:] == s_cells[-5:]  # thm1 upper/lower, thm2, thm3, combined
 
+    GRID = ["--lambda-values", "2500", "--p-values", "0.1", "--r-values", "0.05"]
+
+    @pytest.mark.parametrize("region", ["xs", "xl", "rounded_rect"])
+    def test_ignores_r_where_the_region_does_not_use_it(self, region, tmp_path, capsys):
+        args = ["bounds", "--region-type", region, *self.GRID]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        bad = tmp_path / "bad_r.cfg"
+        bad.write_text("r = abc\n")
+        for extra in (["--r", "nan"], ["--config", str(bad)]):
+            assert main(args + extra) == 0, extra
+            assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("region", ["thin_rect", "comb"])
+    def test_validates_r_where_it_is_the_region_radius(self, region, tmp_path, capsys):
+        args = ["bounds", "--region-type", region, *self.GRID]
+        bad = tmp_path / "bad_r.cfg"
+        bad.write_text("r = abc\n")
+        assert main(args + ["--r", "nan"]) == 2
+        assert "config error: r=nan must be finite" in capsys.readouterr().err
+        assert main(args + ["--config", str(bad)]) == 2
+        assert "config error: bad value for r: abc" in capsys.readouterr().err
+        assert main(args + ["--region-r", "0.05"]) == 0
+        plain = capsys.readouterr().out
+        assert main(args + ["--region-r", "0.05", "--r", "nan"]) == 0  # r is then unread
+        assert capsys.readouterr().out == plain
+
 
 class TestWorstcaseCommand:
     def test_thin_rectangle(self, capsys):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from boundaryvote import neighborhood
-from boundaryvote.geometry import region_xs
-from boundaryvote.harness import SimConfig, _field_unit, run_trial_field
-from boundaryvote.neighborhood import _sort_packed, build_index, neighbors_within
+from boundaryvote.geometry import build_comb, region_xl, region_xs
+from boundaryvote.harness import SimConfig, _field_unit, run_trial, run_trial_field, trial_seed
+from boundaryvote.neighborhood import _lanes, _sort_packed, build_index, neighbors_within
 from boundaryvote.sampling import SensorField, assign_measurements, sample_field
 from boundaryvote.vote import SINGLE_ROUND, multi_round_mode
 
@@ -250,6 +250,93 @@ class TestPrefixTally:
 
 
 @st.composite
+def lane_case(draw):
+    """Sensors whose largest neighbor count fills a w-bit lane or just overflows it.
+
+    c coincident sensors sit at the origin and at most c - 1 random ones in
+    [0.5, 1]^2, in a drawn id order, and no radius reaches from one group to
+    the other; so the largest count is exactly c - 1, drawn as 2**w - 1 or
+    2**w. The batch of vectors is 1, q - 1, q, q + 1 or 2q + 1 long and
+    mixes random, all-false, all-true and duplicate vectors.
+    """
+    most = 2 ** draw(st.integers(1, 7)) - 1 + draw(st.integers(0, 1))
+    spread = draw(st.integers(0, min(most, 40)))
+    coords = st.lists(st.floats(0.5, 1.0), min_size=spread, max_size=spread)
+    x, y = [0.0] * (most + 1) + draw(coords), [0.0] * (most + 1) + draw(coords)
+    order = draw(st.permutations(range(len(x))))
+    field = make_field(np.take(x, order), np.take(y, order))
+    radii = draw(st.lists(st.floats(0.01, 0.5), min_size=1, max_size=4))
+    q = max(31 // most.bit_length(), 1)
+    size = draw(st.sampled_from(sorted({1, q - 1, q, q + 1, 2 * q + 1} - {0})))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = []
+    for kind in draw(st.lists(st.sampled_from("rftd"), min_size=size, max_size=size)):
+        if kind == "d" and vectors:
+            vectors.append(vectors[int(rng.integers(len(vectors)))].copy())
+        elif kind in "ft":
+            vectors.append(np.full(field.n, kind == "t"))
+        else:
+            vectors.append(rng.random(field.n) < rng.random())
+    other = rng.random(field.n) < 0.5
+    return field, radii, most, vectors, other, draw(st.floats(0.005, max(radii)))
+
+
+class TestPackedLanes:
+    """Vectors tallied q to a word read exactly the sums of one-vector tallies and of bincounts."""
+
+    @staticmethod
+    def assert_exact(field, indexes, values, fresh):
+        for index in indexes:
+            if index.r not in fresh:
+                fresh[index.r] = build_index(field, index.r)
+            one = fresh[index.r]  # handed nothing: every vector is a one-lane word
+            i, j = one.pairs
+            want = (np.bincount(i[values[j]], minlength=field.n)
+                    + np.bincount(j[values[i]], minlength=field.n))
+            sums, alone = index.count_sums(values), one.count_sums(values)
+            assert sums.dtype == alone.dtype == np.int64
+            assert np.array_equal(alone, want), index.r
+            assert np.array_equal(sums, want), index.r
+
+    @settings(max_examples=100, deadline=None)
+    @given(lane_case())
+    def test_lanes_match_one_vector_tallies(self, case):
+        field, radii, most, vectors, other, late_r = case
+        wide = build_index(field, max(radii))
+        indexes = [wide] + [wide.within(r) for r in radii]
+        assert wide.counts.max(initial=0) == most
+        wide.share_tallies(vectors)
+        fresh = {}
+        for values in vectors:  # grid order: one vector at every radius, then the next
+            self.assert_exact(field, indexes, values, fresh)
+        self.assert_exact(field, indexes, other, fresh)  # never handed over
+        for values in vectors[::-1]:  # words tallied again, in the other order
+            self.assert_exact(field, indexes, values, fresh)
+        vectors[0] ^= True  # changed in place after the handover
+        self.assert_exact(field, indexes, vectors[0], fresh)
+        indexes.append(wide.within(late_r))  # a radius registered after the tallies
+        for values in vectors:
+            self.assert_exact(field, indexes, values, fresh)
+
+    def test_lane_rule(self):
+        assert _lanes(0) == (1, 31)  # no pairs: one-bit lanes still
+        for w in range(1, 32):
+            assert _lanes(2**w - 1) == _lanes(2 ** (w - 1)) == (w, max(31 // w, 1)), w
+
+    def test_empty_field(self):
+        wide = build_index(make_field([], []), 0.1)
+        indexes = [wide, wide.within(0.05)]
+        empty = np.zeros(0, dtype=bool)
+        wide.share_tallies([empty, empty.copy(), empty.copy()])
+        for index in indexes:
+            assert index.count_sums(empty).dtype == index.counts.dtype == np.int64
+            assert index.count_sums(empty).size == index.counts.size == 0
+        metrics = _field_unit(0, 0.01, 0, (region_xs(), region_xl()), (0.1, 0.2), (0.02, 0.05),
+                              SINGLE_ROUND)
+        assert metrics.shape == (2, 2, 2, 10) and not metrics[..., 0].any()  # no sensors
+
+
+@st.composite
 def call_order_case(draw):
     """A small field, radii, a radius registered late, a boolean vector and a call order."""
     n, field, radii = draw_field_and_radii(draw, max_radii=5)
@@ -452,3 +539,33 @@ class TestOneSort:
                            mode=multi_round_mode(0.5), seed=3)
         assert run_trial_field(config)[1].rounds_executed == 3
         assert sorts == [2]
+
+
+class TestTallyCount:
+    """A field tallies its neighbor counts once and its measurement vectors q to a word."""
+
+    @pytest.fixture()
+    def tallies(self, monkeypatch):
+        calls = []
+        tally = neighborhood.NeighborIndex._tally
+
+        def counted(index, word):
+            calls.append(word.size)
+            return tally(index, word)
+
+        monkeypatch.setattr(neighborhood.NeighborIndex, "_tally", counted)
+        return calls
+
+    def test_single_round_field_unit(self, tallies):
+        field = sample_field(1500.0, trial_seed(3, 1500.0, 0))
+        q = 31 // int(build_index(field, 0.1).counts.max()).bit_length()
+        tallies.clear()
+        p_values = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35)
+        _field_unit(3, 1500.0, 0, (region_xs(), region_xl()), p_values, (0.02, 0.05, 0.1),
+                    SINGLE_ROUND)
+        assert len(tallies) == 1 + math.ceil(14 / q) < 15  # 2 regions x 7 p values
+
+    def test_lone_comb_trial(self, tallies):
+        config = SimConfig(lam=4000.0, p=0.25, r=0.05, region=build_comb(0.05, 0.4), seed=3)
+        run_trial(config)
+        assert len(tallies) == 2  # the counts, then the measurement vector
