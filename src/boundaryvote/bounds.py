@@ -105,6 +105,22 @@ class BoundReport:
     combined_upper: float
 
 
+def _report(lam: float, p: float, r: float, peri: float, components: int, zr_area: float,
+            thm3: float) -> BoundReport:
+    """The bound report of one cell, with Theorem 3's value (nan where it does not apply)."""
+    area_outside = 1.0 - zr_area
+    lower, upper = thm1_bounds(lam, p, r, area_outside)
+    if lower > upper:
+        raise AssertionError("thm1 lower exceeded upper")
+    return BoundReport(
+        lam=lam, p=p, r=r, peri=peri, components=components,
+        zr_area=zr_area, area_outside=area_outside,
+        thm1_lower=lower, thm1_upper=upper,
+        thm2_upper=thm2_upper(lam, r, peri, components),
+        thm3_upper=thm3, combined_upper=upper + thm3,
+    )
+
+
 def combined_upper(lam: float, p: float, r: float, peri: float, components: int,
                    zr_area: float) -> BoundReport:
     """Sum of the outside-band and convex inside-band upper bounds.
@@ -112,19 +128,7 @@ def combined_upper(lam: float, p: float, r: float, peri: float, components: int,
     Valid for convex regions with curvature radius >= r; bound_report
     checks that geometric precondition.
     """
-    area_outside = 1.0 - zr_area
-    lower, upper = thm1_bounds(lam, p, r, area_outside)
-    t2 = thm2_upper(lam, r, peri, components)
-    t3 = thm3_upper(lam, p, r, peri)
-    if lower > upper:
-        raise AssertionError("thm1 lower exceeded upper")
-    return BoundReport(
-        lam=lam, p=p, r=r, peri=peri, components=components,
-        zr_area=zr_area, area_outside=area_outside,
-        thm1_lower=lower, thm1_upper=upper,
-        thm2_upper=t2, thm3_upper=t3,
-        combined_upper=upper + t3,
-    )
+    return _report(lam, p, r, peri, components, zr_area, thm3_upper(lam, p, r, peri))
 
 
 def bound_report(region, lam: float, p: float, r: float, zr_area: float) -> BoundReport:
@@ -134,16 +138,9 @@ def bound_report(region, lam: float, p: float, r: float, zr_area: float) -> Boun
     curvature radius >= r and p < 1/2. zr_area is the area of Z_r within Y.
     """
     peri, components = region.perimeter, region.components
-    if getattr(region, "convex", False) and region.min_curvature_radius >= r and p < 0.5:
-        return combined_upper(lam, p, r, peri, components, zr_area)
-    lower, upper = thm1_bounds(lam, p, r, 1.0 - zr_area)
-    return BoundReport(
-        lam=lam, p=p, r=r, peri=peri, components=components,
-        zr_area=zr_area, area_outside=1.0 - zr_area,
-        thm1_lower=lower, thm1_upper=upper,
-        thm2_upper=thm2_upper(lam, r, peri, components),
-        thm3_upper=math.nan, combined_upper=math.nan,
-    )
+    applies = getattr(region, "convex", False) and region.min_curvature_radius >= r and p < 0.5
+    thm3 = thm3_upper(lam, p, r, peri) if applies else math.nan
+    return _report(lam, p, r, peri, components, zr_area, thm3)
 
 
 def lemma_good0_prob(lam: float, area_a: float, p: float, alpha: float) -> float:

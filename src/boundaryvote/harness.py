@@ -10,8 +10,10 @@ so results are byte-identical no matter how many workers ran them.
 """
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +130,7 @@ def _cells(master_seed, lam, trial, regions, p_values, r_values, mode):
     """(field, outcome, metrics) of one sampled field's every (region, p, r) cell, in grid order.
 
     The cells share the field and one pair listing at the largest radius,
-    which `within` cuts down to each smaller one. The widest index is handed
+    of which `within` gives a view at each smaller one. The listing is handed
     every (region, p) measurement vector first, so that it tallies them
     several to a word.
     """
@@ -268,20 +270,14 @@ def sweep(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int
              trials, len(METRIC_FIELDS))
     per_trial = np.empty(shape)
 
-    units = [(li, lam, t) for li, lam in enumerate(lam_values) for t in range(trials)]
-    if workers <= 1:
-        for li, lam, t in units:
-            per_trial[:, li, :, :, t, :] = _field_unit(
-                seed, lam, t, regions, p_values, r_values, mode)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                (li, t): pool.submit(_field_unit, seed, lam, t,
-                                     regions, p_values, r_values, mode)
-                for li, lam, t in units
-            }
-            for (li, t), fut in futures.items():
-                per_trial[:, li, :, :, t, :] = fut.result()
+    units = [(li, t) for li in range(len(lam_values)) for t in range(trials)]
+    unit = functools.partial(_field_unit, seed, regions=regions, p_values=p_values,
+                             r_values=r_values, mode=mode)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(
+            unit, [lam_values[li] for li, _ in units], [t for _, t in units])
+        for li, t in units:  # no name holds a unit's metrics while the next one runs
+            per_trial[:, li, :, :, t, :] = next(results)
 
     rows = []
     fi = METRIC_FIELDS.index("final_errors")

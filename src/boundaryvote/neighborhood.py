@@ -2,35 +2,41 @@
 
 Neighborhoods are closed balls: sensors i and j are neighbors when
 dx*dx + dy*dy <= r*r, the k-d tree's own test, so two sensors at distance
-exactly r are neighbors. An index keeps one listing of its pairs (i, j),
-i < j, as int32 ids, sorted once on one packed unsigned key decoded by
-shifts and masks: with s the bit length of n - 1, (i << s) | j, uint32
-while 2s <= 32 and uint64 beyond; a key past 64 bits raises OverflowError.
-Everything else is built from that listing: the radius bins, the cuts to
-smaller radii, the tally matrix B, the multi-round adjacency U and
-`neighbors_within`.
+exactly r are neighbors.
 
-The widest index keeps one radius bin per listed pair, in the
-smallest unsigned type that holds the radius count (uint8 up to 256 radii):
-the number of registered radii below its own whose closed ball misses the
-pair, by the test above. The radii that miss a pair are the smallest ones,
-so the k-th radius's pairs are exactly those with bin <= k, and a cut
-gathers them in the listing's (i, j) order without any distance.
-Registering a new radius drops the bins, and the next cut or tally bins the
-listing again.
+A field has one listing: its pairs (i, j), i < j, at the widest radius, as
+int32 ids. They are sorted once, on one packed unsigned key decoded by
+shifts and masks. With s the bit length of n - 1, the key is (i << s) | j.
+It is uint32 while 2s <= 32 and uint64 beyond, and a key past 64 bits raises
+OverflowError. The listing's row pointers, where each sensor's pairs start,
+are computed once. A `NeighborIndex` is a view of the listing at one radius.
+`within` registers a smaller radius on the listing and returns its view.
 
-The same index answers `count_sums` and `counts` for all of its radii from
-one prefix tally. B is the (R*n, R*n) block-diagonal upper adjacency whose
-block k holds the pairs of bin k: an entry at row k*n + i, column k*n + j
-for each such pair i < j, so it has one entry per pair. B's CSR order is
-the listing stably partitioned by bin, so each block keeps the (i, j) order,
-and a block's row pointers count its pairs before each row's start in the
-listing. With x a vector tiled R times, row k*n + i of B @ x + B.T @ x sums
-x over the neighbors of i in bin k, and the cumulative sum over the radius
-axis of that (R, n) result is every radius's sums. `counts` is the tally of
-the all-ones vector, kept for the life of the bins. A lone radius is the
-case R = 1: every pair is in bin 0, so B is the listing itself, with U's
-column indices and row pointers and int32 entries, and no pair is binned.
+The listing keeps one radius bin per pair, in the smallest unsigned type
+that holds the radius count (uint8 up to 256 radii). A pair's bin is the
+number of registered radii below the widest whose closed ball misses it, by
+the test above. The radii that miss a pair are the smallest ones, so the
+k-th radius's pairs are exactly those with bin <= k. A view of a smaller
+radius finds its listing positions from the bins, in (i, j) order, without
+any distance. Registering a new radius drops the bins, and the next cut or
+tally bins the listing again.
+
+Ascending listing positions `keep` give one part of the listing in CSR form.
+Its column indices are j.take(keep), and its row pointers are
+searchsorted(keep, starts): the number of kept pairs before each row's start.
+B's blocks and every smaller view's U are such parts. No view gathers its i.
+
+The listing answers `count_sums` and `counts` for all of its radii from one
+prefix tally. B is the (R*n, R*n) block-diagonal upper adjacency whose block
+k holds the pairs of bin k: an entry at row k*n + i, column k*n + j for each
+such pair i < j, so it has one entry per pair. B's CSR order is the listing
+stably partitioned by bin, so block k is the part of bin k's positions. With
+x a vector tiled R times, row k*n + i of B @ x + B.T @ x sums x over the
+neighbors of i in bin k. The cumulative sum over the radius axis of that
+(R, n) result is every radius's sums. `counts` is the tally of the all-ones
+vector, kept for the life of the bins. A lone radius is the case R = 1:
+every pair is in bin 0, so B is the listing itself, with U's column indices
+and row pointers and int32 entries, and no pair is binned.
 
 A tally word carries several 0/1 vectors at once. Every neighbor count at
 every radius is at most M, the widest radius's largest count, so a 0/1
@@ -41,22 +47,21 @@ because every partial sum of a lane is nonnegative and at most the lane's
 final count, which is at most M < 2**w; so (row >> w*l) & (2**w - 1) is
 vector l's exact sums. The vectors handed to `share_tallies` are packed q at
 a time, in the order given, and any other vector is a one-lane word. The
-index keeps one word's (R, n) tally, with copies of the vectors in its
+listing keeps one word's (R, n) tally, with copies of the vectors in its
 lanes: a vector is answered from it only when it equals one of them, so a
 vector changed in place is never answered from a stale tally.
 
 Multi-round voting sums real scores with two sparse matrix-vector products,
 `weighted_sums(v) = U @ v + U.T @ v`. U is the upper adjacency in CSR form:
-row i holds the neighbors j > i in ascending order, so its column indices
-are the listing's j and its row pointers a binary search of its sorted i.
+row i holds the neighbors j > i in ascending order. The widest view's U is
+the listing itself, and a smaller view's U is the part at its positions.
 Row i of U @ v adds v[j] over j ascending, and the CSC product adds v[i]
 into row j over i ascending: the order in which two weighted `bincount`s
 over the listing add them, so the sums are the same bit for bit. One
 symmetric matrix U + U.T would interleave the two halves of each row and
-round differently, which can flip a tie at an exact-zero score. A
-cut keeps no listing once U exists; U's column indices hold its pairs at 4
-bytes each. Every U of a family shares one float64 array of ones, sized
-for the widest index, as its `data`.
+round differently, which can flip a tie at an exact-zero score. Every U of
+a listing shares one float64 array of ones, sized for the widest radius, as
+its `data`.
 
 B.T and U.T are their matrix's three arrays read as CSC, so they copy
 nothing. The arrays are set after construction because scipy's format check
@@ -66,7 +71,7 @@ indices.
 from __future__ import annotations
 
 import bisect
-import copy
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -111,112 +116,88 @@ def _csr_and_csc(data, indices, indptr) -> tuple[sparse.csr_array, sparse.csc_ar
     return pair
 
 
-class NeighborIndex:
-    """Radius-r neighbor index over sensor positions."""
+class _Listing:
+    """One field's pair listing at its widest radius, and the state its views share."""
 
-    def __init__(self, field, r: float):
-        if r <= 0:
-            raise ValueError("r must be positive")
-        self.r = float(r)
-        self.positions = np.column_stack((field.x, field.y)).astype(np.float64, copy=False)
-        self.n = self.positions.shape[0]
-        self._pairs: tuple[np.ndarray, np.ndarray] | None = None
-        self._counts: np.ndarray | None = None
-        self._wider: NeighborIndex | None = None  # widest index, whose listing this one cuts
-        # Prefix tally state, kept on the widest index only.
-        self._radii: list[float] = [self.r]        # its own and its cuts' radii, sorted
-        self._bins: np.ndarray | None = None       # radius bin of each listed pair
-        self._block: tuple[sparse.csr_array, sparse.csc_array] | None = None  # (B, B.T)
-        self._ones: np.ndarray | None = None       # (R, n) tally of an all-ones vector
-        self._shared: list[np.ndarray] = []        # copies of the vectors packed q at a time
-        self._word: tuple[list[np.ndarray], int, np.ndarray] | None = None  # (lanes, w, tally)
-        # Multi-round state: (U, U.T), and on the widest index the ones they share.
-        self._adjacency: tuple[sparse.csr_array, sparse.csc_array] | None = None
-        self._unit: np.ndarray | None = None
+    def __init__(self, positions: np.ndarray, r: float):
+        self.positions = positions
+        self.n = positions.shape[0]
+        self.radii = [r]  # registered radii, sorted: the last is the listing's own
+        self.shared: list[np.ndarray] = []  # copies of the vectors packed q at a time
+        # Dropped when a radius is registered: the bins, (B, B.T), the (R, n) tally
+        # of an all-ones vector, and the current word as (lanes, w, tally).
+        self._bins = self._block = self._ones = self._word = None
 
-    @property
+    @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All unordered neighbor pairs (i, j) with i < j, distance <= r, in (i, j) order."""
-        if self._pairs is None:
-            if self._wider is not None:
-                widest = self._wider
-                i, j = widest.pairs
-                # one index array gathered twice: boolean indexing is three times
-                # slower on bins that follow no order along the listing
-                keep = np.flatnonzero(widest._radius_bins() <= widest._radii.index(self.r))
-                self._pairs = (i.take(keep), j.take(keep))
-            else:
-                raw = cKDTree(self.positions).query_pairs(self.r, output_type="ndarray")
-                s = max(self.n - 1, 0).bit_length()  # bits of a sensor id in the key
-                key = _sort_packed([(raw[:, 0], s), (raw[:, 1], s)])
-                del raw
-                i = key >> s
-                key &= (1 << s) - 1
-                # int32 ids halve the memory of the listing and its cuts
-                self._pairs = tuple(ids.view(np.int32) if ids.itemsize == 4 else ids.astype(np.int32)
-                                    for ids in (i, key))
-        return self._pairs
+        """All pairs (i, j) with i < j within the widest radius, in (i, j) order, as int32."""
+        raw = cKDTree(self.positions).query_pairs(self.radii[-1], output_type="ndarray")
+        s = max(self.n - 1, 0).bit_length()  # bits of a sensor id in the key
+        key = _sort_packed([(raw[:, 0], s), (raw[:, 1], s)])
+        del raw
+        i = key >> s
+        key &= (1 << s) - 1
+        # int32 ids halve the memory of the listing and its parts
+        return tuple(ids.view(np.int32) if ids.itemsize == 4 else ids.astype(np.int32)
+                     for ids in (i, key))
 
-    def _radius_bins(self) -> np.ndarray:
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """The listing's row pointers, shared by B and every U."""
+        return _row_starts(self.pairs[0], self.n)
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        """The float64 ones that every U takes its data from."""
+        return np.ones(self.pairs[0].size)
+
+    def register(self, r: float) -> None:
+        """Add r to the registered radii; a new one drops what was built for the old ones."""
+        if r not in self.radii:
+            bisect.insort(self.radii, r)
+            self._bins = self._block = self._ones = self._word = None
+
+    def bins(self) -> np.ndarray:
         """Each listed pair's count of the smaller registered radii that miss it.
 
-        Widest index only, in the order of its listing. A pair the tree lists at
-        the widest radius stays in its bin, so the widest radius's own test is
-        never repeated on its listing.
+        A pair the tree lists at the widest radius stays in its bin, so the
+        widest radius's own test is never repeated on the listing.
         """
         if self._bins is None:
             i, j = self.pairs
             points = self.positions.view(np.complex128).ravel()  # one gather per endpoint
-            self._bins = np.zeros(i.size, dtype=np.min_scalar_type(len(self._radii) - 1))
+            self._bins = np.zeros(i.size, dtype=np.min_scalar_type(len(self.radii) - 1))
             for start in range(0, i.size, _CHUNK):
                 d = points.take(i[start:start + _CHUNK]) - points.take(j[start:start + _CHUNK])
                 sq = d.real * d.real + d.imag * d.imag  # dx*dx + dy*dy, the tree's own test
                 bins = self._bins[start:start + _CHUNK]
-                for r in self._radii[:-1]:
+                for r in self.radii[:-1]:
                     bins += sq > r * r
         return self._bins
 
-    def within(self, r: float) -> "NeighborIndex":
-        """Radius-r index (r <= self.r) whose pairs are cut from the widest listing.
+    def keep(self, r: float) -> np.ndarray:
+        """Listing positions of the radius-r pairs, ascending."""
+        # an index array, not a mask: boolean indexing is three times slower
+        # on bins that follow no order along the listing
+        return np.flatnonzero(self.bins() <= self.radii.index(r))
 
-        The cut keeps the widest listing's pairs whose radius bin is at most
-        r's place among the registered radii, in (i, j) order, so it lists
-        exactly the pairs of a fresh radius-r index, in the same order. The
-        cut happens on first use, and a vote whose sums all come from the
-        prefix tally never needs it; within(self.r) is this index itself.
-        """
-        if not 0 < r <= self.r:
-            raise ValueError(f"r={r} must lie in (0, {self.r}], the index radius")
-        if r == self.r:
-            return self
-        widest = self._wider or self
-        r = float(r)
-        if r not in widest._radii:
-            bisect.insort(widest._radii, r)
-            widest._bins = widest._block = widest._ones = widest._word = None
-        index = copy.copy(widest)
-        index.r = r
-        index._pairs = index._counts = None
-        index._radii = index._bins = index._block = index._ones = index._word = None
-        index._shared = []
-        index._adjacency = index._unit = None
-        index._wider = widest
-        return index
+    def part(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR column indices and row pointers, both int32, of the pairs at positions keep."""
+        return self.pairs[1].take(keep), np.searchsorted(keep, self.starts).astype(np.int32)
 
-    def _tally(self, word: np.ndarray) -> np.ndarray:
+    def tally(self, word: np.ndarray) -> np.ndarray:
         """(R, n) int32 sums of an int32 word over the neighbors at every registered radius.
 
-        Widest index only. The first call builds (B, B.T), kept with the bins.
+        The first call builds (B, B.T), kept with the bins.
         """
         if self._block is None:
-            radii, n = len(self._radii), self.n
-            i, j = self.pairs
-            starts = _row_starts(i, n)
-            if radii == 1:  # one bin: B's order is the listing's
+            radii, n = len(self.radii), self.n
+            j, starts = self.pairs[1], self.starts
+            if radii == 1:  # one bin: B is the listing itself
                 columns, indptr = j, starts
             else:
                 itype = np.int32 if radii * n < 2**31 else np.int64
-                bins = self._radius_bins()
+                bins = self.bins()
                 # the listing stably partitioned by bin: blocks[k] holds bin k's listing
                 # positions, ascending, one piece per chunk, so the sort's buffer stays small
                 blocks = [[np.empty(0, dtype=np.intp)] for _ in range(radii)]
@@ -230,30 +211,98 @@ class NeighborIndex:
                 indptr = np.empty(radii * n + 1, dtype=itype)
                 stop = 0
                 for k, pieces in enumerate(blocks):  # block k: rows k*n + i, columns k*n + j
-                    block = np.concatenate(pieces)
+                    block, pointers = self.part(np.concatenate(pieces))
                     start, stop = stop, stop + block.size
-                    columns[start:stop] = j.take(block)
+                    columns[start:stop] = block
                     columns[start:stop] += k * n
-                    indptr[k * n:(k + 1) * n + 1] = start + np.searchsorted(block, starts)
-                del blocks, block  # freed before B's data is allocated
+                    indptr[k * n:(k + 1) * n + 1] = start + pointers
+                del blocks, block, pointers  # freed before B's data is allocated
             self._block = _csr_and_csc(np.ones(columns.size, dtype=np.int32), columns, indptr)
         upper, lower = self._block
-        x = np.tile(word, len(self._radii))
+        x = np.tile(word, len(self.radii))
         flat = upper @ x + lower @ x
-        return np.cumsum(flat.reshape(len(self._radii), self.n), axis=0, dtype=np.int32)
+        return np.cumsum(flat.reshape(len(self.radii), self.n), axis=0, dtype=np.int32)
 
-    def _count_tally(self) -> np.ndarray:
-        """(R, n) neighbor counts at every registered radius; widest index only."""
+    def counts(self) -> np.ndarray:
+        """(R, n) neighbor counts at every registered radius."""
         if self._ones is None:
-            self._ones = self._tally(np.ones(self.n, dtype=np.int32))
+            self._ones = self.tally(np.ones(self.n, dtype=np.int32))
         return self._ones
+
+    def lane(self, v: np.ndarray) -> tuple[int, int, np.ndarray]:
+        """(lane, w, (R, n) tally) of a word that holds v.
+
+        The current word answers when one of its lanes equals v. Otherwise
+        the word is the q shared vectors whose group holds v, or v alone.
+        """
+        if self._word is not None:
+            lanes, w, tally = self._word
+            for lane, held in enumerate(lanes):
+                if np.array_equal(held, v):
+                    return lane, w, tally
+        w, q = _lanes(self.counts()[-1].max(initial=0))
+        lanes, lane = [v.copy()], 0
+        for k, held in enumerate(self.shared):
+            if np.array_equal(held, v):
+                lanes, lane = self.shared[k - k % q:k - k % q + q], k % q
+                break
+        self._word = None  # one word's tally alive at a time
+        word = np.zeros(self.n, dtype=np.int32)
+        for shift, held in enumerate(lanes):
+            word |= held.astype(np.int32) << (w * shift)
+        self._word = (lanes, w, self.tally(word))
+        return lane, w, self._word[2]
+
+
+class NeighborIndex:
+    """Radius-r view of a field's pair listing."""
+
+    def __init__(self, listing: _Listing, r: float):
+        self._listing = listing
+        self.r = r
+        self._counts: np.ndarray | None = None
+        self._adjacency: tuple[sparse.csr_array, sparse.csc_array] | None = None  # (U, U.T)
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self._listing.positions
+
+    @property
+    def n(self) -> int:
+        return self._listing.n
+
+    @property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """All unordered neighbor pairs (i, j) with i < j, distance <= r, in (i, j) order."""
+        listing = self._listing
+        i, j = listing.pairs
+        if self.r < listing.radii[-1]:
+            keep = listing.keep(self.r)
+            i, j = i.take(keep), j.take(keep)
+        return i, j
+
+    def within(self, r: float) -> "NeighborIndex":
+        """Radius-r view (r <= self.r) of the same listing.
+
+        The view's pairs are the listing's pairs whose radius bin is at most
+        r's place among the registered radii, in (i, j) order: exactly the
+        pairs of a fresh radius-r index, in the same order. They are found on
+        first use, and a vote whose sums all come from the prefix tally never
+        needs them; within(self.r) is this index itself.
+        """
+        if not 0 < r <= self.r:
+            raise ValueError(f"r={r} must lie in (0, {self.r}], the index radius")
+        if r == self.r:
+            return self
+        self._listing.register(float(r))
+        return NeighborIndex(self._listing, float(r))
 
     @property
     def counts(self) -> np.ndarray:
         """Neighbor count per sensor."""
         if self._counts is None:
-            widest = self._wider or self
-            self._counts = widest._count_tally()[widest._radii.index(self.r)].astype(np.int64)
+            listing = self._listing
+            self._counts = listing.counts()[listing.radii.index(self.r)].astype(np.int64)
         return self._counts
 
     def neighbors_within(self, s) -> np.ndarray:
@@ -267,69 +316,43 @@ class NeighborIndex:
     def share_tallies(self, vectors) -> None:
         """Hand over the boolean vectors that `count_sums` will be asked for.
 
-        The widest index keeps copies and tallies them q to a word, so the
-        vectors of one word, at every radius, cost one pair of products.
+        The listing keeps copies and tallies them q to a word, so the vectors
+        of one word, at every radius, cost one pair of products.
         """
-        widest = self._wider or self
-        widest._shared = [np.array(v, dtype=bool) for v in vectors]
-
-    def _lane(self, v: np.ndarray) -> tuple[int, int, np.ndarray]:
-        """(lane, w, (R, n) tally) of a word that holds v; widest index only.
-
-        The current word answers when one of its lanes equals v. Otherwise
-        the word is the q shared vectors whose group holds v, or v alone.
-        """
-        if self._word is not None:
-            lanes, w, tally = self._word
-            for lane, held in enumerate(lanes):
-                if np.array_equal(held, v):
-                    return lane, w, tally
-        w, q = _lanes(self._count_tally()[-1].max(initial=0))
-        lanes, lane = [v.copy()], 0
-        for k, held in enumerate(self._shared):
-            if np.array_equal(held, v):
-                lanes, lane = self._shared[k - k % q:k - k % q + q], k % q
-                break
-        self._word = None  # one word's tally alive at a time
-        word = np.zeros(self.n, dtype=np.int32)
-        for shift, held in enumerate(lanes):
-            word |= held.astype(np.int32) << (w * shift)
-        self._word = (lanes, w, self._tally(word))
-        return lane, w, self._word[2]
+        self._listing.shared = [np.array(v, dtype=bool) for v in vectors]
 
     def count_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-sensor number of neighbors whose boolean value is true (exact).
 
-        Every index reads its own radius's row of the widest index's prefix
-        tally of a word that holds the vector, and the vector's lane of it.
+        Every view reads its own radius's row of the listing's prefix tally of
+        a word that holds the vector, and the vector's lane of it.
         """
-        widest = self._wider or self
-        lane, w, tally = widest._lane(np.asarray(values, dtype=bool))
-        row = tally[widest._radii.index(self.r)]
+        listing = self._listing
+        lane, w, tally = listing.lane(np.asarray(values, dtype=bool))
+        row = tally[listing.radii.index(self.r)]
         return ((row >> (w * lane)) & ((1 << w) - 1)).astype(np.int64)
-
-    def _upper_and_lower(self) -> tuple[sparse.csr_array, sparse.csc_array]:
-        """U as CSR and U.T as CSC over the same arrays; a cut then drops its listing."""
-        if self._adjacency is None:
-            widest = self._wider or self
-            if widest._unit is None:
-                widest._unit = np.ones(widest.pairs[0].size)
-            i, j = self.pairs
-            self._adjacency = _csr_and_csc(widest._unit[:i.size], j, _row_starts(i, self.n))
-            if self._wider is not None:
-                self._pairs = None  # U's column indices and row pointers hold the pairs now
-        return self._adjacency
 
     def weighted_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-sensor sums of a real-valued per-neighbor quantity, U @ v + U.T @ v."""
-        upper, lower = self._upper_and_lower()
+        if self._adjacency is None:
+            listing = self._listing
+            if self.r < listing.radii[-1]:
+                columns, indptr = listing.part(listing.keep(self.r))
+            else:
+                columns, indptr = listing.pairs[1], listing.starts
+            self._adjacency = _csr_and_csc(listing.unit[:columns.size], columns, indptr)
+        upper, lower = self._adjacency
         v = np.asarray(values, dtype=float)
         return upper @ v + lower @ v
 
 
 def build_index(field, r: float) -> NeighborIndex:
     """Index a sensor field for radius-r neighbor queries."""
-    return NeighborIndex(field, r)
+    if r <= 0:
+        raise ValueError("r must be positive")
+    r = float(r)
+    positions = np.column_stack((field.x, field.y)).astype(np.float64, copy=False)
+    return NeighborIndex(_Listing(positions, r), r)
 
 
 def neighbors_within(index: NeighborIndex, s) -> np.ndarray:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from boundaryvote.geometry import (Arc, Comb, RoundedRect, SensorClass,
-                                   ZoneLabel, build_comb, build_thin_rectangle,
+                                   ZoneLabel, _zone_area_mc, build_comb, build_thin_rectangle,
                                    classify_good_bad, contains,
                                    distance_to_boundary, dubious_zone_area,
                                    region_xl, region_xs, zone_of)
@@ -150,8 +150,6 @@ class TestZoneArea:
         region = region_xs()
         r = 0.05
         analytic = dubious_zone_area(region, r).value
-        mc = dubious_zone_area.__wrapped__(region, r) if hasattr(dubious_zone_area, "__wrapped__") else None
-        from boundaryvote.geometry import _zone_area_mc
         n = 1_000_000
         est = _zone_area_mc(region, r, n, seed=3)
         sigma = math.sqrt(analytic * (1 - analytic) / n)  # conservative: ignores stratification

@@ -10,7 +10,8 @@ from scipy.spatial import cKDTree
 from boundaryvote import neighborhood
 from boundaryvote.geometry import build_comb, region_xl, region_xs
 from boundaryvote.harness import SimConfig, _field_unit, run_trial, run_trial_field, trial_seed
-from boundaryvote.neighborhood import _lanes, _sort_packed, build_index, neighbors_within
+from boundaryvote.neighborhood import (_lanes, _row_starts, _sort_packed, build_index,
+                                       neighbors_within)
 from boundaryvote.sampling import SensorField, assign_measurements, sample_field
 from boundaryvote.vote import SINGLE_ROUND, multi_round_mode
 
@@ -197,7 +198,7 @@ class TestPrefixTally:
             assert np.array_equal(sums, want), index.r
             assert index.counts.dtype == fresh.counts.dtype == np.int64
             assert np.array_equal(index.counts, fresh.counts), index.r
-        assert wide._bins.dtype == np.uint16
+        assert wide._listing.bins().dtype == np.uint16
 
     def test_lone_index_sums_equal_two_bincounts(self):
         sampled = sample_field(3000, seed=5)
@@ -412,9 +413,14 @@ class TestWeightedSums:
                 assert sums.dtype == np.float64
                 assert np.array_equal(sums, bincount_sums(field, index.r, values)), index.r
         for index in indexes:
-            if index is not wide:
-                assert index._pairs is None  # a cut keeps only U once it exists
-            want = build_index(field, index.r).counts
+            fresh = build_index(field, index.r)
+            upper, lower = index._adjacency
+            for matrix in (upper, lower):  # U's arrays: a fresh listing's j and row starts
+                assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+                assert np.array_equal(matrix.indices, fresh.pairs[1])
+                assert np.array_equal(matrix.indptr, np.searchsorted(fresh.pairs[0],
+                                                                     np.arange(field.n + 1)))
+            want = fresh.counts
             assert np.array_equal(index.counts, want), index.r
             assert index.counts.dtype == want.dtype == np.int64
 
@@ -515,30 +521,35 @@ class TestSums:
 
 
 class TestOneSort:
-    """A field's pair listing is sorted once, whatever reads it."""
+    """A field's pair listing is sorted once, and its row pointers found once, whatever reads them."""
 
     @pytest.fixture()
-    def sorts(self, monkeypatch):
-        calls = []
+    def calls(self, monkeypatch):
+        calls = {"sorts": [], "row_starts": 0}
 
-        def counted(fields):
-            calls.append(len(fields))
+        def sort(fields):
+            calls["sorts"].append(len(fields))
             return _sort_packed(fields)
 
-        monkeypatch.setattr(neighborhood, "_sort_packed", counted)
+        def row_starts(rows, n):
+            calls["row_starts"] += 1
+            return _row_starts(rows, n)
+
+        monkeypatch.setattr(neighborhood, "_sort_packed", sort)
+        monkeypatch.setattr(neighborhood, "_row_starts", row_starts)
         return calls
 
     @pytest.mark.parametrize("mode", [SINGLE_ROUND, multi_round_mode(0.5)], ids=["single", "multi"])
-    def test_field_unit(self, sorts, mode):
+    def test_field_unit(self, calls, mode):
         # p = 0.3 at r = 0.02 runs 8 rounds, so the cuts' U are built too
         _field_unit(3, 1500.0, 0, (region_xs(),), (0.05, 0.3), (0.02, 0.04, 0.06), mode)
-        assert sorts == [2]
+        assert calls == {"sorts": [2], "row_starts": 1}  # B and every U share the row pointers
 
-    def test_lone_multi_round_index(self, sorts):
+    def test_lone_multi_round_index(self, calls):
         config = SimConfig(lam=1500.0, p=0.3, r=0.05, region=region_xs(),
                            mode=multi_round_mode(0.5), seed=3)
         assert run_trial_field(config)[1].rounds_executed == 3
-        assert sorts == [2]
+        assert calls == {"sorts": [2], "row_starts": 1}
 
 
 class TestTallyCount:
@@ -547,13 +558,13 @@ class TestTallyCount:
     @pytest.fixture()
     def tallies(self, monkeypatch):
         calls = []
-        tally = neighborhood.NeighborIndex._tally
+        tally = neighborhood._Listing.tally
 
-        def counted(index, word):
+        def counted(listing, word):
             calls.append(word.size)
-            return tally(index, word)
+            return tally(listing, word)
 
-        monkeypatch.setattr(neighborhood.NeighborIndex, "_tally", counted)
+        monkeypatch.setattr(neighborhood._Listing, "tally", counted)
         return calls
 
     def test_single_round_field_unit(self, tallies):
