@@ -9,7 +9,7 @@ from .bounds import (BoundReport, bad_segment_length_upper, beta_fraction,
                      beta_inverse, bound_report, combined_upper,
                      lemma_good0_prob, lemma_good1_prob, majority_tail_bounds,
                      majority_tail_exact, thm1_bounds, thm2_upper, thm3_upper)
-from .geometry import (Comb, Point, RoundedRect, SensorClass, ZoneArea,
+from .geometry import (Comb, RoundedRect, SensorClass, ZoneArea,
                        ZoneLabel, build_comb, build_thin_rectangle,
                        classify_good_bad, contains, distance_to_boundary,
                        dubious_zone_area, dubious_zone_areas, region_xl, region_xs,
@@ -17,7 +17,7 @@ from .geometry import (Comb, Point, RoundedRect, SensorClass, ZoneArea,
 from .harness import (GridError, SimConfig, SweepResult, SweepRow, TrialMetrics,
                       best_radius, bound_table, run_trial, run_trial_field, sweep,
                       sweep_csv_string, trial_seed, write_sweep_csv)
-from .neighborhood import NeighborIndex, build_index, neighbors_within
+from .neighborhood import NeighborIndex, build_index, build_indexes, neighbors_within
 from .render import render_field
 from .sampling import SensorField, assign_measurements, sample_field, write_field_csv
 from .vote import (SINGLE_ROUND, VoteMode, VoteOutcome, majority_round,

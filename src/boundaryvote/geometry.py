@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -41,12 +42,6 @@ class SensorClass(Enum):
     GOOD = "good"
     BAD = "bad"
     NOT_IN_ZR = "not_in_zr"
-
-
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +250,6 @@ class RoundedRect:
         rho = self.corner_radius
         self.area = width * height - (4.0 - math.pi) * rho * rho
         self.perimeter = 2.0 * (width + height) - 8.0 * rho + TWO_PI * rho
-        self._boundary: BoundaryPath | None = None
 
     def __repr__(self) -> str:
         return (f"RoundedRect(cx={self.cx}, cy={self.cy}, width={self.width}, "
@@ -278,13 +272,8 @@ class RoundedRect:
         """Closed-region membership: boundary points count as inside."""
         return self.signed_distance(x, y) >= 0.0
 
-    @property
+    @cached_property
     def boundary(self) -> BoundaryPath:
-        if self._boundary is None:
-            self._boundary = self._build_boundary()
-        return self._boundary
-
-    def _build_boundary(self) -> BoundaryPath:
         hw, hh, rho = self.width / 2, self.height / 2, self.corner_radius
         cx, cy = self.cx, self.cy
         x0, x1 = cx - hw, cx + hw
@@ -522,8 +511,6 @@ def build_comb(r: float, ell: float) -> Comb:
 
 
 def _xy(pt) -> tuple[float, float]:
-    if isinstance(pt, Point):
-        return pt.x, pt.y
     x, y = pt
     return float(x), float(y)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 
 from .bounds import bound_report
 from .geometry import dubious_zone_areas
-from .neighborhood import build_index
+from .neighborhood import build_indexes
 from .sampling import assign_measurements_at, sample_field
 from .vote import SINGLE_ROUND, VoteMode, run_vote
 
@@ -130,18 +131,16 @@ def _cells(master_seed, lam, trial, regions, p_values, r_values, mode):
     """(field, outcome, metrics) of one sampled field's every (region, p, r) cell, in grid order.
 
     The cells share the field and one pair listing at the largest radius,
-    of which `within` gives a view at each smaller one. The listing is handed
-    every (region, p) measurement vector first, so that it tallies them
-    several to a word.
+    with a view at each radius. The listing is handed every (region, p)
+    measurement vector first, so that it tallies them several to a word.
     """
     seed = trial_seed(master_seed, lam, trial)
     field = sample_field(lam, seed)
-    widest = build_index(field, max(r_values))
-    indexes = [widest.within(r) for r in r_values]
-    widest.counts  # lists the pairs before the measurements exist, so they miss its peak
+    # built before the measurements exist, so they miss the listing's peak
+    indexes = build_indexes(field, r_values)
     fields = [measured for region in regions
               for measured in assign_measurements_at(field, region, p_values, seed)]
-    widest.share_tallies(measured.measured for measured in fields)
+    indexes[0].share_tallies(measured.measured for measured in fields)
     for measured in fields:
         for index in indexes:
             outcome = run_vote(measured, index, mode)
@@ -236,6 +235,8 @@ def bound_table(r_values, p_values, lam_values, regions) -> list:
     for r in r_values:
         if not r > 0:
             raise GridError(f"r={r} must be positive")
+        if 4.0 * math.pi * r * r < sys.float_info.min:  # Theorem 1's lower bound divides by it
+            raise GridError(f"r={r} is too small: 4*pi*r^2 underflows")
     reports = []
     for region in regions:
         zr_areas = [area.value for area in dubious_zone_areas(region, r_values)]

@@ -4,22 +4,22 @@ Neighborhoods are closed balls: sensors i and j are neighbors when
 dx*dx + dy*dy <= r*r, the k-d tree's own test, so two sensors at distance
 exactly r are neighbors.
 
-A field has one listing: its pairs (i, j), i < j, at the widest radius, as
-int32 ids. They are sorted once, on one packed unsigned key decoded by
-shifts and masks. With s the bit length of n - 1, the key is (i << s) | j.
-It is uint32 while 2s <= 32 and uint64 beyond, and a key past 64 bits raises
-OverflowError. The listing's row pointers, where each sensor's pairs start,
-are computed once. A `NeighborIndex` is a view of the listing at one radius.
-`within` registers a smaller radius on the listing and returns its view.
+A field has one listing, built for a fixed, sorted set of unique radii:
+its pairs (i, j), i < j, at the widest radius, as int32 ids. They are
+sorted once, on one packed unsigned key decoded by shifts and masks. With s
+the bit length of n - 1, the key is (i << s) | j. It is uint32 while
+2s <= 32 and uint64 beyond, and a key past 64 bits raises OverflowError.
+The listing's row pointers, where each sensor's pairs start, are computed
+once. A `NeighborIndex` is a view of the listing at its k-th radius;
+`build_indexes` builds the listing and returns one view per radius.
 
-The listing keeps one radius bin per pair, in the smallest unsigned type
-that holds the radius count (uint8 up to 256 radii). A pair's bin is the
-number of registered radii below the widest whose closed ball misses it, by
-the test above. The radii that miss a pair are the smallest ones, so the
-k-th radius's pairs are exactly those with bin <= k. A view of a smaller
-radius finds its listing positions from the bins, in (i, j) order, without
-any distance. Registering a new radius drops the bins, and the next cut or
-tally bins the listing again.
+With more than one radius, the listing keeps one radius bin per pair, in
+the smallest unsigned type that holds the radius count (uint8 up to 256
+radii). A pair's bin is the number of radii below the widest whose closed
+ball misses it, by the test above. The radii that miss a pair are the
+smallest ones, so the k-th radius's pairs are exactly those with bin <= k.
+A view of a smaller radius finds its listing positions from the bins, in
+(i, j) order, without any distance.
 
 Ascending listing positions `keep` give one part of the listing in CSR form.
 Its column indices are j.take(keep), and its row pointers are
@@ -34,7 +34,9 @@ stably partitioned by bin, so block k is the part of bin k's positions. With
 x a vector tiled R times, row k*n + i of B @ x + B.T @ x sums x over the
 neighbors of i in bin k. The cumulative sum over the radius axis of that
 (R, n) result is every radius's sums. `counts` is the tally of the all-ones
-vector, kept for the life of the bins. A lone radius is the case R = 1:
+vector. The listing, its bins, B and the counts are built with the listing;
+only U's ones, each view's U and the tally word wait for their first use.
+A lone radius is the case R = 1:
 every pair is in bin 0, so B is the listing itself, with U's column indices
 and row pointers and int32 entries, and no pair is binned.
 
@@ -70,7 +72,6 @@ indices.
 """
 from __future__ import annotations
 
-import bisect
 from functools import cached_property
 
 import numpy as np
@@ -117,19 +118,21 @@ def _csr_and_csc(data, indices, indptr) -> tuple[sparse.csr_array, sparse.csc_ar
 
 
 class _Listing:
-    """One field's pair listing at its widest radius, and the state its views share."""
+    """One field's pair listing for a fixed set of radii, and the state its views share."""
 
-    def __init__(self, positions: np.ndarray, r: float):
+    def __init__(self, positions: np.ndarray, radii: list[float]):
         self.positions = positions
         self.n = positions.shape[0]
-        self.radii = [r]  # registered radii, sorted: the last is the listing's own
+        self.radii = radii  # sorted and unique: the last is the listing's own
         self.shared: list[np.ndarray] = []  # copies of the vectors packed q at a time
-        # Dropped when a radius is registered: the bins, (B, B.T), the (R, n) tally
-        # of an all-ones vector, and the current word as (lanes, w, tally).
-        self._bins = self._block = self._ones = self._word = None
+        self._word = None  # the current word as (lanes, w, tally)
+        self.pairs = self._list()
+        self.starts = _row_starts(self.pairs[0], self.n)  # shared by B and every U
+        self.bins = self._bin() if len(radii) > 1 else None
+        self.block = self._block()  # (B, B.T)
+        self.counts = self.tally(np.ones(self.n, dtype=np.int32)).astype(np.int64)
 
-    @cached_property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+    def _list(self) -> tuple[np.ndarray, np.ndarray]:
         """All pairs (i, j) with i < j within the widest radius, in (i, j) order, as int32."""
         raw = cKDTree(self.positions).query_pairs(self.radii[-1], output_type="ndarray")
         s = max(self.n - 1, 0).bit_length()  # bits of a sensor id in the key
@@ -141,93 +144,74 @@ class _Listing:
         return tuple(ids.view(np.int32) if ids.itemsize == 4 else ids.astype(np.int32)
                      for ids in (i, key))
 
-    @cached_property
-    def starts(self) -> np.ndarray:
-        """The listing's row pointers, shared by B and every U."""
-        return _row_starts(self.pairs[0], self.n)
+    def _bin(self) -> np.ndarray:
+        """Each listed pair's count of the smaller radii that miss it.
+
+        A pair the tree lists at the widest radius stays in its bin, so the
+        widest radius's own test is never repeated on the listing.
+        """
+        i, j = self.pairs
+        points = self.positions.view(np.complex128).ravel()  # one gather per endpoint
+        out = np.zeros(i.size, dtype=np.min_scalar_type(len(self.radii) - 1))
+        for start in range(0, i.size, _CHUNK):
+            d = points.take(i[start:start + _CHUNK]) - points.take(j[start:start + _CHUNK])
+            sq = d.real * d.real + d.imag * d.imag  # dx*dx + dy*dy, the tree's own test
+            bins = out[start:start + _CHUNK]
+            for r in self.radii[:-1]:
+                bins += sq > r * r
+        return out
+
+    def _block(self) -> tuple[sparse.csr_array, sparse.csc_array]:
+        """(B, B.T) over the listing's bins."""
+        radii, n = len(self.radii), self.n
+        j, starts = self.pairs[1], self.starts
+        if radii == 1:  # one bin: B is the listing itself
+            columns, indptr = j, starts
+        else:
+            itype = np.int32 if radii * n < 2**31 else np.int64
+            bins = self.bins
+            # the listing stably partitioned by bin: blocks[k] holds bin k's listing
+            # positions, ascending, one piece per chunk, so the sort's buffer stays small
+            blocks = [[np.empty(0, dtype=np.intp)] for _ in range(radii)]
+            for start in range(0, bins.size, _CHUNK):
+                chunk = bins[start:start + _CHUNK]
+                local = np.argsort(chunk, kind="stable")
+                cuts = np.searchsorted(chunk, np.arange(1, radii, dtype=bins.dtype), sorter=local)
+                for pieces, piece in zip(blocks, np.split(local + start, cuts)):
+                    pieces.append(piece)
+            columns = np.empty(bins.size, dtype=itype)
+            indptr = np.empty(radii * n + 1, dtype=itype)
+            stop = 0
+            for k, pieces in enumerate(blocks):  # block k: rows k*n + i, columns k*n + j
+                block, pointers = self.part(np.concatenate(pieces))
+                start, stop = stop, stop + block.size
+                columns[start:stop] = block
+                columns[start:stop] += k * n
+                indptr[k * n:(k + 1) * n + 1] = start + pointers
+            del blocks, block, pointers  # freed before B's data is allocated
+        return _csr_and_csc(np.ones(columns.size, dtype=np.int32), columns, indptr)
 
     @cached_property
     def unit(self) -> np.ndarray:
         """The float64 ones that every U takes its data from."""
         return np.ones(self.pairs[0].size)
 
-    def register(self, r: float) -> None:
-        """Add r to the registered radii; a new one drops what was built for the old ones."""
-        if r not in self.radii:
-            bisect.insort(self.radii, r)
-            self._bins = self._block = self._ones = self._word = None
-
-    def bins(self) -> np.ndarray:
-        """Each listed pair's count of the smaller registered radii that miss it.
-
-        A pair the tree lists at the widest radius stays in its bin, so the
-        widest radius's own test is never repeated on the listing.
-        """
-        if self._bins is None:
-            i, j = self.pairs
-            points = self.positions.view(np.complex128).ravel()  # one gather per endpoint
-            self._bins = np.zeros(i.size, dtype=np.min_scalar_type(len(self.radii) - 1))
-            for start in range(0, i.size, _CHUNK):
-                d = points.take(i[start:start + _CHUNK]) - points.take(j[start:start + _CHUNK])
-                sq = d.real * d.real + d.imag * d.imag  # dx*dx + dy*dy, the tree's own test
-                bins = self._bins[start:start + _CHUNK]
-                for r in self.radii[:-1]:
-                    bins += sq > r * r
-        return self._bins
-
-    def keep(self, r: float) -> np.ndarray:
-        """Listing positions of the radius-r pairs, ascending."""
+    def keep(self, k: int) -> np.ndarray:
+        """Listing positions of the pairs of the k-th radius, ascending."""
         # an index array, not a mask: boolean indexing is three times slower
         # on bins that follow no order along the listing
-        return np.flatnonzero(self.bins() <= self.radii.index(r))
+        return np.flatnonzero(self.bins <= k)
 
     def part(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR column indices and row pointers, both int32, of the pairs at positions keep."""
         return self.pairs[1].take(keep), np.searchsorted(keep, self.starts).astype(np.int32)
 
     def tally(self, word: np.ndarray) -> np.ndarray:
-        """(R, n) int32 sums of an int32 word over the neighbors at every registered radius.
-
-        The first call builds (B, B.T), kept with the bins.
-        """
-        if self._block is None:
-            radii, n = len(self.radii), self.n
-            j, starts = self.pairs[1], self.starts
-            if radii == 1:  # one bin: B is the listing itself
-                columns, indptr = j, starts
-            else:
-                itype = np.int32 if radii * n < 2**31 else np.int64
-                bins = self.bins()
-                # the listing stably partitioned by bin: blocks[k] holds bin k's listing
-                # positions, ascending, one piece per chunk, so the sort's buffer stays small
-                blocks = [[np.empty(0, dtype=np.intp)] for _ in range(radii)]
-                for start in range(0, bins.size, _CHUNK):
-                    chunk = bins[start:start + _CHUNK]
-                    local = np.argsort(chunk, kind="stable")
-                    cuts = np.searchsorted(chunk, np.arange(1, radii, dtype=bins.dtype), sorter=local)
-                    for pieces, piece in zip(blocks, np.split(local + start, cuts)):
-                        pieces.append(piece)
-                columns = np.empty(bins.size, dtype=itype)
-                indptr = np.empty(radii * n + 1, dtype=itype)
-                stop = 0
-                for k, pieces in enumerate(blocks):  # block k: rows k*n + i, columns k*n + j
-                    block, pointers = self.part(np.concatenate(pieces))
-                    start, stop = stop, stop + block.size
-                    columns[start:stop] = block
-                    columns[start:stop] += k * n
-                    indptr[k * n:(k + 1) * n + 1] = start + pointers
-                del blocks, block, pointers  # freed before B's data is allocated
-            self._block = _csr_and_csc(np.ones(columns.size, dtype=np.int32), columns, indptr)
-        upper, lower = self._block
+        """(R, n) int32 sums of an int32 word over the neighbors at every radius."""
+        upper, lower = self.block
         x = np.tile(word, len(self.radii))
         flat = upper @ x + lower @ x
         return np.cumsum(flat.reshape(len(self.radii), self.n), axis=0, dtype=np.int32)
-
-    def counts(self) -> np.ndarray:
-        """(R, n) neighbor counts at every registered radius."""
-        if self._ones is None:
-            self._ones = self.tally(np.ones(self.n, dtype=np.int32))
-        return self._ones
 
     def lane(self, v: np.ndarray) -> tuple[int, int, np.ndarray]:
         """(lane, w, (R, n) tally) of a word that holds v.
@@ -240,7 +224,7 @@ class _Listing:
             for lane, held in enumerate(lanes):
                 if np.array_equal(held, v):
                     return lane, w, tally
-        w, q = _lanes(self.counts()[-1].max(initial=0))
+        w, q = _lanes(self.counts[-1].max(initial=0))
         lanes, lane = [v.copy()], 0
         for k, held in enumerate(self.shared):
             if np.array_equal(held, v):
@@ -255,12 +239,12 @@ class _Listing:
 
 
 class NeighborIndex:
-    """Radius-r view of a field's pair listing."""
+    """View of a field's pair listing at its k-th radius."""
 
-    def __init__(self, listing: _Listing, r: float):
+    def __init__(self, listing: _Listing, k: int):
         self._listing = listing
-        self.r = r
-        self._counts: np.ndarray | None = None
+        self._k = k
+        self.r = listing.radii[k]
         self._adjacency: tuple[sparse.csr_array, sparse.csc_array] | None = None  # (U, U.T)
 
     @property
@@ -273,37 +257,23 @@ class NeighborIndex:
 
     @property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All unordered neighbor pairs (i, j) with i < j, distance <= r, in (i, j) order."""
+        """All unordered neighbor pairs (i, j) with i < j, distance <= r, in (i, j) order.
+
+        A smaller radius's pairs are the listing's pairs whose radius bin is
+        at most k: exactly the pairs of a fresh radius-r index, in the same
+        order. A vote whose sums all come from the prefix tally never needs them.
+        """
         listing = self._listing
         i, j = listing.pairs
         if self.r < listing.radii[-1]:
-            keep = listing.keep(self.r)
+            keep = listing.keep(self._k)
             i, j = i.take(keep), j.take(keep)
         return i, j
-
-    def within(self, r: float) -> "NeighborIndex":
-        """Radius-r view (r <= self.r) of the same listing.
-
-        The view's pairs are the listing's pairs whose radius bin is at most
-        r's place among the registered radii, in (i, j) order: exactly the
-        pairs of a fresh radius-r index, in the same order. They are found on
-        first use, and a vote whose sums all come from the prefix tally never
-        needs them; within(self.r) is this index itself.
-        """
-        if not 0 < r <= self.r:
-            raise ValueError(f"r={r} must lie in (0, {self.r}], the index radius")
-        if r == self.r:
-            return self
-        self._listing.register(float(r))
-        return NeighborIndex(self._listing, float(r))
 
     @property
     def counts(self) -> np.ndarray:
         """Neighbor count per sensor."""
-        if self._counts is None:
-            listing = self._listing
-            self._counts = listing.counts()[listing.radii.index(self.r)].astype(np.int64)
-        return self._counts
+        return self._listing.counts[self._k]
 
     def neighbors_within(self, s) -> np.ndarray:
         """Ids of all other sensors within the closed ball of radius r, ascending."""
@@ -327,17 +297,15 @@ class NeighborIndex:
         Every view reads its own radius's row of the listing's prefix tally of
         a word that holds the vector, and the vector's lane of it.
         """
-        listing = self._listing
-        lane, w, tally = listing.lane(np.asarray(values, dtype=bool))
-        row = tally[listing.radii.index(self.r)]
-        return ((row >> (w * lane)) & ((1 << w) - 1)).astype(np.int64)
+        lane, w, tally = self._listing.lane(np.asarray(values, dtype=bool))
+        return ((tally[self._k] >> (w * lane)) & ((1 << w) - 1)).astype(np.int64)
 
     def weighted_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-sensor sums of a real-valued per-neighbor quantity, U @ v + U.T @ v."""
         if self._adjacency is None:
             listing = self._listing
             if self.r < listing.radii[-1]:
-                columns, indptr = listing.part(listing.keep(self.r))
+                columns, indptr = listing.part(listing.keep(self._k))
             else:
                 columns, indptr = listing.pairs[1], listing.starts
             self._adjacency = _csr_and_csc(listing.unit[:columns.size], columns, indptr)
@@ -346,13 +314,25 @@ class NeighborIndex:
         return upper @ v + lower @ v
 
 
+def build_indexes(field, r_values) -> list[NeighborIndex]:
+    """Views of one pair listing of a field, one per radius of r_values, in the order given.
+
+    The listing is built at once for the sorted unique radii, so a field's
+    pairs are listed, binned and tallied once. Equal radii share a view.
+    """
+    r_values = [float(r) for r in r_values]
+    if not r_values or not all(r > 0 for r in r_values):
+        raise ValueError("r must be positive")
+    radii = sorted(set(r_values))
+    positions = np.column_stack((field.x, field.y)).astype(np.float64, copy=False)
+    listing = _Listing(positions, radii)
+    views = {r: NeighborIndex(listing, k) for k, r in enumerate(radii)}
+    return [views[r] for r in r_values]
+
+
 def build_index(field, r: float) -> NeighborIndex:
     """Index a sensor field for radius-r neighbor queries."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    r = float(r)
-    positions = np.column_stack((field.x, field.y)).astype(np.float64, copy=False)
-    return NeighborIndex(_Listing(positions, r), r)
+    return build_indexes(field, [r])[0]
 
 
 def neighbors_within(index: NeighborIndex, s) -> np.ndarray:

@@ -91,6 +91,10 @@ class TestExitCodes:
         ["simulate", "--lambda", "inf", "--trials", "1"],
         ["simulate", "--c", "nan", "--mode", "multi", "--trials", "1"],
         ["sweep", "--lambda-values", "2500,inf", "--trials", "1"],
+        ["bounds", "--r-values", "1e-160", "--p-values", "0.1", "--lambda-values", "100"],
+        ["bounds", "--r-values", "1e-200", "--p-values", "0.1", "--lambda-values", "100"],
+        ["sweep", "--r-values", "1e-200", "--p-values", "0.1", "--lambda-values", "100",
+         "--trials", "1"],
     ])
     def test_bad_inputs_return_2(self, argv, capsys):
         assert main(argv) == 2

@@ -11,7 +11,7 @@ from boundaryvote import neighborhood
 from boundaryvote.geometry import build_comb, region_xl, region_xs
 from boundaryvote.harness import SimConfig, _field_unit, run_trial, run_trial_field, trial_seed
 from boundaryvote.neighborhood import (_lanes, _row_starts, _sort_packed, build_index,
-                                       neighbors_within)
+                                       build_indexes, neighbors_within)
 from boundaryvote.sampling import SensorField, assign_measurements, sample_field
 from boundaryvote.vote import SINGLE_ROUND, multi_round_mode
 
@@ -40,10 +40,9 @@ class TestExactness:
             n = int(rng.integers(1, 501))
             field = make_field(rng.random(n), rng.random(n))
             r = float(rng.uniform(0.02, 0.2))
-            wide = build_index(field, 2 * r)
-            wide.within(r / 2)  # a third radius bin
+            cut = build_indexes(field, (2 * r, r / 2, r))[2]  # a cut among three radius bins
             want = brute_force_neighbors(field, r)
-            for index in (build_index(field, r), wide.within(r)):  # fresh, and a cut
+            for index in (build_index(field, r), cut):  # fresh, and a cut
                 for i in range(n):
                     got = neighbors_within(index, i)
                     assert np.array_equal(got, want[i]), (trial, i, index.r)
@@ -90,9 +89,8 @@ class TestWithin:
         field = self.boundary_field(r)
         d2 = (field.x[:3000] - field.x[3000:]) ** 2 + (field.y[:3000] - field.y[3000:]) ** 2
         assert np.any(d2 <= r * r) and np.any(d2 > r * r)  # pairs on both sides
-        wide = build_index(field, 4 * r)
-        for radius in (r, 2 * r, 4 * r):
-            got, want = wide.within(radius).pairs, build_index(field, radius).pairs
+        for index in build_indexes(field, (r, 2 * r, 4 * r)):
+            got, want = index.pairs, build_index(field, index.r).pairs
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert got[0].dtype == np.int32
 
@@ -101,19 +99,56 @@ class TestWithin:
         field = self.boundary_field(r, n=300)
         d2 = (field.x[:300] - field.x[300:]) ** 2 + (field.y[:300] - field.y[300:]) ** 2
         assert np.any(d2 <= r * r) and np.any(d2 > r * r)  # pairs on both sides
-        wide = build_index(field, 4 * r)
-        indexes = [wide.within(radius) for radius in (r, 2 * r, 4 * r)]  # every bin first
-        for index in indexes:
+        for index in build_indexes(field, (r, 2 * r, 4 * r)):
             want = brute_force_neighbors(field, index.r)
             for s in range(field.n):
                 assert np.array_equal(index.neighbors_within(s), want[s]), (index.r, s)
 
-    def test_radius_above_index_rejected(self):
-        index = build_index(make_field([0.5], [0.5]), 0.05)
+
+class TestBuildIndexes:
+    """One listing per field for a fixed set of radii, and one view per radius."""
+
+    def test_views_in_the_order_given(self):
+        rng = np.random.default_rng(67)
+        field = make_field(rng.random(400), rng.random(400))
+        radii = [0.06, 0.02, 0.1, 0.02, 0.06, 0.04]  # unsorted, with duplicates
+        indexes = build_indexes(field, radii)
+        assert [index.r for index in indexes] == radii
+        for index in indexes:
+            got, want = index.pairs, build_index(field, index.r).pairs
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert indexes[1] is indexes[3] and indexes[0] is indexes[4]  # equal radii: one view
+        assert len({id(index) for index in indexes}) == 4
+        assert len({id(index._listing) for index in indexes}) == 1
+
+    @pytest.mark.parametrize("radii", [[], [0.0], [0.1, 0.0], [0.05, -0.1, 0.2], [0.1, math.nan]])
+    def test_nonpositive_radius_anywhere_rejected(self, radii):
         with pytest.raises(ValueError):
-            index.within(0.06)
-        with pytest.raises(ValueError):
-            index.within(0.0)
+            build_indexes(make_field([0.5, 0.6], [0.5, 0.5]), radii)
+
+    def test_one_tree_query_and_one_row_pointer_pass(self, monkeypatch):
+        calls = {"query_pairs": 0, "row_starts": 0}
+
+        class Tree(cKDTree):
+            def query_pairs(self, *args, **kwargs):
+                calls["query_pairs"] += 1
+                return super().query_pairs(*args, **kwargs)
+
+        def row_starts(rows, n):
+            calls["row_starts"] += 1
+            return _row_starts(rows, n)
+
+        monkeypatch.setattr(neighborhood, "cKDTree", Tree)
+        monkeypatch.setattr(neighborhood, "_row_starts", row_starts)
+        rng = np.random.default_rng(71)
+        field = make_field(rng.random(500), rng.random(500))
+        values = rng.random(500) < 0.5
+        for radii in ([0.05], [0.08, 0.03, 0.05, 0.03]):
+            calls.update(query_pairs=0, row_starts=0)
+            for index in build_indexes(field, radii):  # every view reads all it holds
+                index.pairs, index.counts, index.count_sums(values)
+                index.weighted_sums(values.astype(float))
+            assert calls == {"query_pairs": 1, "row_starts": 1}, radii
 
 
 def draw_field_and_radii(draw, max_radii):
@@ -134,11 +169,11 @@ def draw_field_and_radii(draw, max_radii):
 
 @st.composite
 def tally_case(draw):
-    """A small field, unsorted radii with duplicates and r_max, and boolean vectors."""
+    """A small field, unsorted radii with duplicates, and boolean vectors."""
     n, field, radii = draw_field_and_radii(draw, max_radii=6)
     radii = draw(st.permutations(radii + draw(st.lists(st.sampled_from(radii), max_size=3))))
     bools = st.lists(st.booleans(), min_size=n, max_size=n).map(lambda b: np.array(b, dtype=bool))
-    return field, radii, draw(bools), draw(bools), draw(st.floats(0.005, max(radii)))
+    return field, radii, draw(bools), draw(bools)
 
 
 class TestPrefixTally:
@@ -157,16 +192,14 @@ class TestPrefixTally:
     @settings(max_examples=150, deadline=None)
     @given(tally_case())
     def test_cuts_match_fresh_indexes(self, case):
-        field, radii, first, second, late_r = case
-        wide = build_index(field, max(radii))
-        indexes = [wide] + [wide.within(r) for r in radii]
+        field, radii, first, second = case
+        indexes = build_indexes(field, radii)
         vector = first.copy()
         self.assert_matches_fresh(field, indexes, vector)
         self.assert_matches_fresh(field, indexes, vector)  # the same vector again
         vector[:] = second  # changed in place: the cached tally must not answer
         self.assert_matches_fresh(field, indexes, vector)
         self.assert_matches_fresh(field, indexes, first)
-        indexes.append(wide.within(late_r))  # a radius registered after a tally
         self.assert_matches_fresh(field, indexes, vector)
         for index in indexes:
             assert index.count_sums(first).dtype == index.counts.dtype == np.int64
@@ -174,8 +207,7 @@ class TestPrefixTally:
     def test_pairs_one_ulp_either_side_of_the_cuts(self):
         r = 0.01
         field = TestWithin.boundary_field(r)
-        wide = build_index(field, 4 * r)
-        indexes = [wide] + [wide.within(radius) for radius in (2 * r, r, 3 * r, r)]
+        indexes = build_indexes(field, (4 * r, 2 * r, r, 3 * r, r))
         values = np.random.default_rng(47).random(field.n) < 0.5
         self.assert_matches_fresh(field, indexes, values)
 
@@ -185,8 +217,7 @@ class TestPrefixTally:
         rng = np.random.default_rng(61)
         field = make_field(rng.integers(0, 256, 250) / 256, rng.integers(0, 256, 250) / 256)
         radii = [k / 1024 for k in range(1, 301)]
-        wide = build_index(field, radii[-1])
-        indexes = [wide] + [wide.within(r) for r in radii[:-1]]
+        indexes = build_indexes(field, radii)
         values = rng.random(field.n) < 0.5
         for index in indexes:
             fresh = build_index(field, index.r)
@@ -198,7 +229,7 @@ class TestPrefixTally:
             assert np.array_equal(sums, want), index.r
             assert index.counts.dtype == fresh.counts.dtype == np.int64
             assert np.array_equal(index.counts, fresh.counts), index.r
-        assert wide._listing.bins().dtype == np.uint16
+        assert indexes[0]._listing.bins.dtype == np.uint16
 
     def test_lone_index_sums_equal_two_bincounts(self):
         sampled = sample_field(3000, seed=5)
@@ -227,8 +258,7 @@ class TestPrefixTally:
         # 2**16 sensors fill a 32-bit (i, j) key, and one more needs 64 bits
         rng = np.random.default_rng(n)
         field = make_field(rng.random(n), rng.random(n))
-        wide = build_index(field, r)
-        cut = wide.within(r / 2)
+        wide, cut = build_indexes(field, (r, r / 2))
         values = rng.random(n) < 0.5
         self.assert_matches_fresh(field, [wide, cut], values)
         raw = cKDTree(wide.positions).query_pairs(r, output_type="ndarray")
@@ -279,7 +309,7 @@ def lane_case(draw):
         else:
             vectors.append(rng.random(field.n) < rng.random())
     other = rng.random(field.n) < 0.5
-    return field, radii, most, vectors, other, draw(st.floats(0.005, max(radii)))
+    return field, radii, most, vectors, other
 
 
 class TestPackedLanes:
@@ -302,9 +332,9 @@ class TestPackedLanes:
     @settings(max_examples=100, deadline=None)
     @given(lane_case())
     def test_lanes_match_one_vector_tallies(self, case):
-        field, radii, most, vectors, other, late_r = case
-        wide = build_index(field, max(radii))
-        indexes = [wide] + [wide.within(r) for r in radii]
+        field, radii, most, vectors, other = case
+        indexes = build_indexes(field, [max(radii), *radii])
+        wide = indexes[0]
         assert wide.counts.max(initial=0) == most
         wide.share_tallies(vectors)
         fresh = {}
@@ -315,7 +345,6 @@ class TestPackedLanes:
             self.assert_exact(field, indexes, values, fresh)
         vectors[0] ^= True  # changed in place after the handover
         self.assert_exact(field, indexes, vectors[0], fresh)
-        indexes.append(wide.within(late_r))  # a radius registered after the tallies
         for values in vectors:
             self.assert_exact(field, indexes, values, fresh)
 
@@ -325,10 +354,9 @@ class TestPackedLanes:
             assert _lanes(2**w - 1) == _lanes(2 ** (w - 1)) == (w, max(31 // w, 1)), w
 
     def test_empty_field(self):
-        wide = build_index(make_field([], []), 0.1)
-        indexes = [wide, wide.within(0.05)]
+        indexes = build_indexes(make_field([], []), (0.1, 0.05))
         empty = np.zeros(0, dtype=bool)
-        wide.share_tallies([empty, empty.copy(), empty.copy()])
+        indexes[0].share_tallies([empty, empty.copy(), empty.copy()])
         for index in indexes:
             assert index.count_sums(empty).dtype == index.counts.dtype == np.int64
             assert index.count_sums(empty).size == index.counts.size == 0
@@ -339,11 +367,11 @@ class TestPackedLanes:
 
 @st.composite
 def call_order_case(draw):
-    """A small field, radii, a radius registered late, a boolean vector and a call order."""
+    """A small field, radii, a boolean vector, a call order and whether a tally comes first."""
     n, field, radii = draw_field_and_radii(draw, max_radii=5)
     values = draw(st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))
     calls = draw(st.permutations(("pairs", "counts", "count_sums", "weighted_sums")))
-    return field, radii, draw(st.floats(0.005, max(radii))), values, calls, draw(st.booleans())
+    return field, radii, values, calls, draw(st.booleans())
 
 
 class TestCutsFromBins:
@@ -352,15 +380,10 @@ class TestCutsFromBins:
     @settings(max_examples=150, deadline=None)
     @given(call_order_case())
     def test_cuts_match_fresh_indexes_in_any_order(self, case):
-        field, radii, late_r, values, calls, pairs_first = case
-        wide = build_index(field, max(radii))
-        indexes = [wide] + [wide.within(r) for r in radii]
-        if pairs_first:
-            indexes[-1].pairs  # sorts the listing, then bins it
-        wide.count_sums(values)  # a tally; the late radius then rebuilds the bins
-        if not pairs_first:
-            indexes[-1].pairs  # a cut from the tally's bins
-        indexes.append(wide.within(late_r))
+        field, radii, values, calls, tally_first = case
+        indexes = build_indexes(field, [max(radii), *radii])
+        if tally_first:
+            indexes[-1].count_sums(values)  # the word's tally, before any view's calls
         for index in indexes:
             fresh = build_index(field, index.r)
             for call in calls:
@@ -402,8 +425,7 @@ class TestWeightedSums:
     @given(weighted_case())
     def test_csr_sums_equal_two_weighted_bincounts(self, case):
         field, radii, vectors, counts_first = case
-        wide = build_index(field, max(radii))
-        indexes = [wide] + [wide.within(r) for r in radii]
+        indexes = build_indexes(field, [max(radii), *radii])
         if counts_first:  # multi-round voting reads counts, from the listing, before any sum
             for index in indexes:
                 index.counts
@@ -437,8 +459,7 @@ class TestEdgeCases:
     def test_integer_coordinates(self):
         ints = SensorField(x=np.array([0, 1, 3, 4]), y=np.array([0, 0, 0, 2]), lam=4.0, seed=0)
         floats = make_field(ints.x, ints.y)
-        wide = build_index(ints, 2.5)
-        for index in (wide, wide.within(1.0), wide.within(2.0)):
+        for index in build_indexes(ints, (2.5, 1.0, 2.0)):
             assert np.array_equal(index.counts, build_index(floats, index.r).counts), index.r
 
     def test_isolated_sensor(self):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundaryvote.neighborhood import build_index
+from boundaryvote.neighborhood import build_index, build_indexes
 from boundaryvote.sampling import SensorField, assign_measurements, sample_field
 from boundaryvote.geometry import region_xs
 from boundaryvote.vote import (SINGLE_ROUND, VoteMode, majority_round,
@@ -196,8 +196,7 @@ class TestRoundOneFromTheTally:
 
     @staticmethod
     def assert_matches_reference(field, radii, t):
-        wide = build_index(field, max(radii))
-        indexes = [wide] + [wide.within(r) for r in radii] + [build_index(field, radii[0])]
+        indexes = build_indexes(field, [max(radii), *radii]) + [build_index(field, radii[0])]
         for index in indexes:  # the wide index and its cuts, then a lone index
             out = multi_round(field, index, t, keep_history=True)
             decided, history = reference_multi_round(field, index.r, t)
