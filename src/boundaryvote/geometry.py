@@ -231,6 +231,8 @@ class RoundedRect:
 
     def __init__(self, cx: float, cy: float, width: float, height: float,
                  corner_radius: float = 0.0, name: str | None = None):
+        if not all(map(math.isfinite, (cx, cy, width, height, corner_radius))):
+            raise ValueError("center, size and corner_radius must be finite")
         if width <= 0 or height <= 0:
             raise ValueError("width and height must be positive")
         if corner_radius < 0:
@@ -288,9 +290,7 @@ class RoundedRect:
             Segment(x0, y1 - rho, x0, y0 + rho),
             Arc(x0 + rho, y0 + rho, rho, math.pi, 1.5 * math.pi),
         ]
-        if rho == 0.0:
-            pieces = [p for p in pieces if isinstance(p, Segment)]
-        return BoundaryPath(pieces)
+        return BoundaryPath(pieces)  # it drops the zero-length arcs of rho = 0
 
     def eroded_area(self, r: float) -> float:
         """Area of the inner parallel body at depth r (exact)."""
@@ -312,10 +312,10 @@ class Comb:
     """
 
     def __init__(self, r: float, ell: float, name: str | None = None):
-        if r <= 0:
-            raise ValueError("r must be positive")
+        if not 0 < r < math.inf:
+            raise ValueError("r must be positive and finite")
         ratio = ell / (4.0 * r)
-        n = round(ratio)
+        n = round(ratio) if math.isfinite(ratio) else 0
         if n < 1 or abs(ratio - n) > 1e-9:
             raise ValueError("ell must be a positive multiple of 4r")
         self.r = float(r)
@@ -328,151 +328,96 @@ class Comb:
         self.convex = False
         self.min_curvature_radius = float(r)
 
-        self._layout()
-        self._boundary = BoundaryPath(self._trace_pieces())
-        self.perimeter = self._boundary.length
-        self.area = self._boundary.enclosed_area()
+        # strip i joins strip i+1 at its right end iff i is even
+        self._ys = [i * (2.5 * r) for i in range(n)]
+        self._lefts, self._rights = [0.0], [self.ell]
+        for i in range(1, n):
+            li = self.ell - 4.0 * r * i
+            if (i - 1) % 2 == 0:
+                self._rights.append(self._rights[i - 1])
+                self._lefts.append(self._rights[i] - li)
+            else:
+                self._lefts.append(self._lefts[i - 1])
+                self._rights.append(self._lefts[i] + li)
+        # free (capped) ends: strip 0's left end and the last strip's far end
+        self._cap_left = [i == 0 or (i == n - 1 and n % 2 == 0) for i in range(n)]
+        self._cap_right = [i == n - 1 and n % 2 == 1 for i in range(n)]
+
+        # perimeter and area come from the trace at the origin, before the
+        # shift can move a segment's hypot by an ulp
+        at_origin = BoundaryPath(self._trace())
+        self.perimeter = at_origin.length
+        self.area = at_origin.enclosed_area()
         if self.area <= 0:
             raise AssertionError("comb boundary traversal is not CCW")
         x0, y0, x1, y1 = self.bbox()
         if x1 - x0 >= 1.0 or y1 - y0 >= 1.0:
             raise ValueError("comb does not fit in the unit square")
-        # recenter in Y
-        self._shift(0.5 - (x0 + x1) / 2, 0.5 - (y0 + y1) / 2)
+        dx, dy = 0.5 - (x0 + x1) / 2, 0.5 - (y0 + y1) / 2  # recenter in Y
+        self._ys = [y + dy for y in self._ys]
+        self._lefts = [x + dx for x in self._lefts]
+        self._rights = [x + dx for x in self._rights]
+        self.boundary = BoundaryPath(self._trace())
 
     def __repr__(self) -> str:
         return f"Comb(r={self.r}, ell={self.ell})"
 
-    def _layout(self) -> None:
-        r, n = self.r, self.strip_count
-        pitch = 2.5 * r
-        self.pitch = pitch
-        ys = [i * pitch for i in range(n)]
-        lefts, rights = [0.0], [self.ell]
-        for i in range(1, n):
-            li = self.ell - 4.0 * r * i
-            if (i - 1) % 2 == 0:  # join with previous strip at its right end
-                rights.append(rights[i - 1])
-                lefts.append(rights[i] - li)
-            else:
-                lefts.append(lefts[i - 1])
-                rights.append(lefts[i] + li)
-        self._ys, self._lefts, self._rights = ys, lefts, rights
-        # free (capped) ends: strip i joins strip i+1 on the right iff i is even,
-        # so strip 0's left end and the last strip's far end stay free
-        self._cap_left = [i == 0 or (i == n - 1 and n % 2 == 0) for i in range(n)]
-        self._cap_right = [i == n - 1 and n % 2 == 1 for i in range(n)]
+    def _trace(self) -> list:
+        """The CCW boundary: up one side of the serpentine, around the last
+        strip's free end, back down the other side, around strip 0's left end."""
+        r, n, ys, lefts, rights = self.r, self.strip_count, self._ys, self._lefts, self._rights
+        phi, half = _CAP_PHI, math.pi / 2
 
-    def _edge_x(self, i: int, side: str) -> float:
-        r = self.r
-        if side == "left":
-            return self._lefts[i] + (_CAP_DX * r if self._cap_left[i] else 0.0)
-        return self._rights[i] - (_CAP_DX * r if self._cap_right[i] else 0.0)
+        def edge(i, top):  # a top edge runs right to left, a bottom edge left to right
+            y = ys[i] + r / 4 if top else ys[i] - r / 4
+            xl = lefts[i] + (_CAP_DX * r if self._cap_left[i] else 0.0)
+            xr = rights[i] - (_CAP_DX * r if self._cap_right[i] else 0.0)
+            return Segment(xr, y, xl, y) if top else Segment(xl, y, xr, y)
 
-    def _edge(self, i: int, which: str, direction: str) -> Segment:
-        y = self._ys[i] + (self.r / 4 if which == "top" else -self.r / 4)
-        xl, xr = self._edge_x(i, "left"), self._edge_x(i, "right")
-        if direction == "lr":
-            return Segment(xl, y, xr, y)
-        return Segment(xr, y, xl, y)
+        def turn(i, outer):  # the semicircle joining strips i and i+1
+            right = i % 2 == 0
+            a0, a1 = (-half, half) if right else (half, 1.5 * math.pi)
+            if not outer:  # the inner arc runs back
+                a0, a1 = a1, a0
+            return Arc(rights[i] if right else lefts[i], (ys[i] + ys[i + 1]) / 2,
+                       1.5 * r if outer else r, a0, a1)
 
-    def _cap_pieces(self, i: int, side: str):
-        r, yc = self.r, self._ys[i]
-        phi = _CAP_PHI
-        if side == "left":
-            bx = self._lefts[i]
+        def cap(i, right):  # fillet, bulb, fillet around a free end
+            yc = ys[i]
+            if right:
+                bx = rights[i]
+                ax = bx - _CAP_DX * r
+                return [Arc(ax, yc - 1.25 * r, r, half, phi),
+                        Arc(bx, yc, r, phi - math.pi, math.pi - phi),
+                        Arc(ax, yc + 1.25 * r, r, -phi, -half)]
+            bx = lefts[i]
             ax = bx + _CAP_DX * r
-            return [
-                Arc(ax, yc + 1.25 * r, r, -math.pi / 2, phi - math.pi),
-                Arc(bx, yc, r, phi, TWO_PI - phi),
-                Arc(ax, yc - 1.25 * r, r, math.pi - phi, math.pi / 2),
-            ]
-        bx = self._rights[i]
-        ax = bx - _CAP_DX * r
-        return [
-            Arc(ax, yc - 1.25 * r, r, math.pi / 2, phi),
-            Arc(bx, yc, r, phi - math.pi, math.pi - phi),
-            Arc(ax, yc + 1.25 * r, r, -phi, -math.pi / 2),
-        ]
+            return [Arc(ax, yc + 1.25 * r, r, -half, phi - math.pi),
+                    Arc(bx, yc, r, phi, TWO_PI - phi),
+                    Arc(ax, yc - 1.25 * r, r, math.pi - phi, half)]
 
-    def _join_center(self, i: int):
-        side = "right" if i % 2 == 0 else "left"
-        xe = self._rights[i] if side == "right" else self._lefts[i]
-        return side, xe, (self._ys[i] + self._ys[i + 1]) / 2
-
-    def _join_arc(self, i: int, which: str) -> Arc:
-        r = self.r
-        side, xe, cy = self._join_center(i)
-        radius = 1.5 * r if which == "outer" else r
-        if side == "right":
-            if which == "outer":
-                return Arc(xe, cy, radius, -math.pi / 2, math.pi / 2)
-            return Arc(xe, cy, radius, math.pi / 2, -math.pi / 2)
-        if which == "outer":
-            return Arc(xe, cy, radius, math.pi / 2, 1.5 * math.pi)
-        return Arc(xe, cy, radius, 1.5 * math.pi, math.pi / 2)
-
-    def _trace_pieces(self):
-        n = self.strip_count
         pieces = []
-        for i in range(n - 1):  # ascent
-            if i % 2 == 0:
-                pieces.append(self._edge(i, "bottom", "lr"))
-                pieces.append(self._join_arc(i, "outer"))
-            else:
-                pieces.append(self._edge(i, "top", "rl"))
-                pieces.append(self._join_arc(i, "inner"))
-        top = n - 1
-        if top % 2 == 0:
-            pieces.append(self._edge(top, "bottom", "lr"))
-            pieces.extend(self._cap_pieces(top, "right"))
-            pieces.append(self._edge(top, "top", "rl"))
-        else:
-            pieces.append(self._edge(top, "top", "rl"))
-            pieces.extend(self._cap_pieces(top, "left"))
-            pieces.append(self._edge(top, "bottom", "lr"))
-        for i in range(n - 2, -1, -1):  # descent
-            if i % 2 == 0:
-                pieces.append(self._join_arc(i, "inner"))
-                pieces.append(self._edge(i, "top", "rl"))
-            else:
-                pieces.append(self._join_arc(i, "outer"))
-                pieces.append(self._edge(i, "bottom", "lr"))
-        pieces.extend(self._cap_pieces(0, "left" if self._cap_left[0] else "right"))
-        return pieces
+        for i in range(n - 1):
+            pieces += [edge(i, i % 2 == 1), turn(i, i % 2 == 0)]
+        t = n - 1
+        pieces += [edge(t, t % 2 == 1), *cap(t, t % 2 == 0), edge(t, t % 2 == 0)]
+        for i in range(n - 2, -1, -1):
+            pieces += [turn(i, i % 2 == 1), edge(i, i % 2 == 0)]
+        return pieces + cap(0, False)
 
     def bbox(self):
-        r, n = self.r, self.strip_count
-        xs_min, xs_max, ys_min, ys_max = [], [], [], []
-        for i in range(n):
-            xs_min.append(self._lefts[i] - (r if self._cap_left[i] else 0.0))
-            xs_max.append(self._rights[i] + (r if self._cap_right[i] else 0.0))
-            ys_min.append(self._ys[i] - (r if self._cap_left[i] or self._cap_right[i] else r / 4))
-            ys_max.append(self._ys[i] + (r if self._cap_left[i] or self._cap_right[i] else r / 4))
-        for i in range(n - 1):
-            side, xe, _ = self._join_center(i)
-            if side == "right":
-                xs_max.append(xe + 1.5 * r)
-            else:
-                xs_min.append(xe - 1.5 * r)
-        return min(xs_min), min(ys_min), max(xs_max), max(ys_max)
-
-    def _shift(self, dx: float, dy: float) -> None:
-        self._ys = [y + dy for y in self._ys]
-        self._lefts = [x + dx for x in self._lefts]
-        self._rights = [x + dx for x in self._rights]
-        self._boundary = BoundaryPath(self._trace_pieces())
-
-    @property
-    def boundary(self) -> BoundaryPath:
-        return self._boundary
+        # strip 0's left end and the last strip are capped; the first turn
+        # (with one strip, the right cap) reaches furthest right
+        r = self.r
+        return (self._lefts[0] - r, self._ys[0] - r,
+                self._rights[0] + (1.5 * r if self.strip_count > 1 else r), self._ys[-1] + r)
 
     def strip_area(self) -> float:
         return sum((x1 - x0) * self.strip_height for x0, x1 in zip(self._lefts, self._rights))
 
     def signed_distance(self, x, y):
         """Exact Euclidean distance to bd(X), positive inside X."""
-        return self._boundary.signed_distance(x, y)
+        return self.boundary.signed_distance(x, y)
 
     def contains(self, x, y):
         """Closed-region membership: boundary points count as inside."""
@@ -494,8 +439,8 @@ def build_thin_rectangle(r: float) -> RoundedRect:
     Every point of the region lies within distance r of its boundary, so the
     whole region falls inside the dubious band Z_r; its perimeter is 9r.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
     if 4.0 * r >= 1.0:
         raise ValueError("thin rectangle of width 4r does not fit in the unit square")
     return RoundedRect(0.5, 0.5, 4.0 * r, r / 2.0, 0.0, name=f"thin_rect_r{r:g}")

@@ -274,6 +274,7 @@ def sweep(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int
     units = [(li, t) for li in range(len(lam_values)) for t in range(trials)]
     unit = functools.partial(_field_unit, seed, regions=regions, p_values=p_values,
                              r_values=r_values, mode=mode)
+    workers = min(workers, len(units))  # a fork pool starts all its workers at once
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         results = (pool.map if pool else map)(
             unit, [lam_values[li] for li, _ in units], [t for _, t in units])

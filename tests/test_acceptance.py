@@ -194,17 +194,14 @@ def test_criterion_04_thm2_thm3_dominance(dominance_sweep):
 
 @pytest.mark.slow
 def test_criterion_05_worstcase_lower_bounds():
-    lam, p, r, trials = 20000.0, 0.25, 0.05, 200
-    thin = SimConfig(lam=lam, p=p, r=r, region=build_thin_rectangle(r),
-                     seed=0, trials=trials)
-    thin_mean = float(np.mean([run_trial(thin, t).errors_in_zr for t in range(trials)]))
+    lam, p, r, trials, ell = 20000.0, 0.25, 0.05, 200, 0.4
+    # both shapes run on the same fields, as run_trial draws them at seed 0
+    res = sweep((r,), (p,), (lam,), (build_thin_rectangle(r), build_comb(r, ell)),
+                seed=0, trials=trials)
+    in_zr = res.per_trial[:, 0, 0, 0, :, METRIC_FIELDS.index("errors_in_zr")]
+    thin_mean, comb_mean = (float(np.mean(counts)) for counts in in_zr)
     thin_target = 0.5 * lam * r * r
     ok_thin = thin_mean >= thin_target
-
-    ell = 0.4
-    comb = SimConfig(lam=lam, p=p, r=r, region=build_comb(r, ell),
-                     seed=0, trials=trials)
-    comb_mean = float(np.mean([run_trial(comb, t).errors_in_zr for t in range(trials)]))
     comb_target = lam * ell * ell / 32.0
     ok_comb = comb_mean >= comb_target
     ok = ok_thin and ok_comb

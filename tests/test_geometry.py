@@ -21,6 +21,15 @@ def rect_membership_oracle(region, x, y):
     return in_slab | in_corner
 
 
+def unit_tangent(piece, s):
+    """Direction of travel at offset s along a segment or arc."""
+    if isinstance(piece, Arc):
+        angle = piece.a0 + (piece.a1 - piece.a0) * s / piece.length
+        turn = math.copysign(1.0, piece.a1 - piece.a0)
+        return -turn * math.sin(angle), turn * math.cos(angle)
+    return ((piece.x1 - piece.x0) / piece.length, (piece.y1 - piece.y0) / piece.length)
+
+
 class TestRoundedRect:
     def test_contains_center_and_far_corner(self):
         xs = region_xs()
@@ -203,6 +212,28 @@ class TestThinRectangle:
             build_thin_rectangle(0.25)
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build, args", [
+    (build_thin_rectangle, (NAN,)),
+    (build_thin_rectangle, (INF,)),
+    (RoundedRect, (0.5, 0.5, NAN, 0.2)),
+    (RoundedRect, (0.5, 0.5, 0.2, INF)),
+    (RoundedRect, (NAN, 0.5, 0.2, 0.2)),
+    (RoundedRect, (0.5, -INF, 0.2, 0.2)),
+    (RoundedRect, (0.5, 0.5, 0.2, 0.2, NAN)),
+    (build_comb, (0.05, INF)),
+    (build_comb, (0.05, NAN)),
+    (build_comb, (NAN, 0.4)),
+    (build_comb, (INF, 0.4)),
+    (build_comb, (1e-308, 1e300)),  # finite sizes whose ell/(4r) overflows
+], ids=lambda v: getattr(v, "__name__", None))
+def test_non_finite_sizes_rejected(build, args):
+    with pytest.raises(ValueError):
+        build(*args)
+
+
 class TestComb:
     def test_strip_count_and_area(self):
         comb = build_comb(0.05, 0.4)
@@ -227,13 +258,20 @@ class TestComb:
         assert min(radii) >= comb.r - 1e-12
         assert comb.min_curvature_radius == comb.cap_radius == comb.r
 
-    def test_boundary_is_closed_and_ccw(self):
-        comb = build_comb(0.05, 0.4)
+    @pytest.mark.parametrize("r,ell,strips", [(0.05, 0.2, 1), (0.05, 0.4, 2), (0.03, 0.36, 3),
+                                              (0.02, 0.32, 4), (0.01, 0.2, 5)])
+    def test_boundary_is_closed_and_ccw(self, r, ell, strips):
+        # signed_distance's nearest-piece sign rule is exact only on a
+        # tangent-continuous path
+        comb = build_comb(r, ell)
+        assert comb.strip_count == strips
         pieces = comb.boundary.pieces
         for a, b in zip(pieces, pieces[1:] + pieces[:1]):
             ax, ay = a.point_at(a.length)
             bx, by = b.point_at(0.0)
             assert math.hypot(float(ax) - float(bx), float(ay) - float(by)) < 1e-9
+            (tx, ty), (ux, uy) = unit_tangent(a, a.length), unit_tangent(b, 0.0)
+            assert math.hypot(tx - ux, ty - uy) < 1e-12
         assert comb.area > 0
 
     def test_area_consistent_with_membership(self):

@@ -55,11 +55,16 @@ CASES = {
     "worstcase-thin": ["worstcase", "--shape", "thin", *WORST],
     "worstcase-comb": ["worstcase", "--shape", "comb", "--ell", "0.4", *WORST,
                        "--out", "{tmp}/comb.csv"],
+    "worstcase-comb-1-strip": ["worstcase", "--shape", "comb", "--ell", "0.2", "--lambda", "3000",
+                               "--p", "0.25", "--r", "0.05", "--trials", "4", "--seed", "2"],
     "bounds-xl": ["bounds", "--region-type", "xl", "--lambda-values", "2500,20000",
                   "--p-values", "0.05,0.35", "--r-values", "0.005,0.05,0.1"],
     "bounds-comb": ["bounds", "--region-type", "comb", "--region-r", "0.05", "--region-ell",
                     "0.4", "--lambda-values", "10000", "--p-values", "0.15",
                     "--r-values", "0.02,0.05", "--out", "{tmp}/bounds.csv"],
+    "bounds-comb-3-strips": ["bounds", "--region-type", "comb", "--region-r", "0.03",
+                             "--region-ell", "0.36", "--lambda-values", "10000",
+                             "--p-values", "0.15", "--r-values", "0.03"],
     "render-single": ["render", "--lambda", "600", "--p", "0.15", "--r", "0.05", "--seed", "1",
                       "--out", "{tmp}/trial.svg"],
     "render-multi": ["render", "--mode", "multi", "--lambda", "600", "--p", "0.3", "--r", "0.03",

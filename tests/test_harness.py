@@ -198,6 +198,28 @@ class TestSweepDeterminism:
         assert ",multi," in a.splitlines()[1]
         assert a == b == c
 
+    @pytest.mark.parametrize("workers, trials, pool_size", [(64, 3, 3), (2, 3, 2), (8, 1, None)])
+    def test_pool_never_outnumbers_the_units(self, monkeypatch, workers, trials, pool_size):
+        sizes = []
+
+        class InProcessPool:  # records the pool size and starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        args = ((0.05,), (0.2,), (800.0,), (region_xs(),))
+        got = sweep_csv_string(sweep(*args, seed=1, trials=trials, workers=workers))
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert got == sweep_csv_string(sweep(*args, seed=1, trials=trials))
+
     def test_csv_header_exact(self):
         cfg = small_config(trials=1)
         text = sweep_csv_string(sweep((0.05,), (0.2,), (800.0,), (region_xs(),),
