@@ -27,6 +27,9 @@ TWO_PI = 2.0 * math.pi
 # tangency direction makes angle asin(5/8) with the strip axis.
 _CAP_PHI = math.asin(5.0 / 8.0)
 _CAP_DX = math.sqrt(39.0) / 4.0  # fillet-center x offset from bulb center, in units of r
+# a comb's build, memory and signed distance grow linearly in its strip count
+# (1000 strips: about 1.35 s per 10^4 points of signed distance)
+COMB_MAX_STRIPS = 1000
 
 
 class ZoneLabel(Enum):
@@ -308,7 +311,8 @@ class Comb:
     with pitch 2.5r and joined at alternating ends. Free strip ends terminate
     in a bulb of radius r blended by concave fillets of radius r, so the radius
     of curvature is at least r everywhere on the boundary (turn arcs have radii
-    r and 1.5r).
+    r and 1.5r). There are ell/(4r) strips, at most COMB_MAX_STRIPS; a larger
+    count raises ValueError before anything is laid out.
     """
 
     def __init__(self, r: float, ell: float, name: str | None = None):
@@ -318,6 +322,8 @@ class Comb:
         n = round(ratio) if math.isfinite(ratio) else 0
         if n < 1 or abs(ratio - n) > 1e-9:
             raise ValueError("ell must be a positive multiple of 4r")
+        if n > COMB_MAX_STRIPS:
+            raise ValueError(f"a comb of {n} strips exceeds the limit of {COMB_MAX_STRIPS}")
         self.r = float(r)
         self.ell = float(ell)
         self.strip_count = n

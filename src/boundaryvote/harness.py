@@ -262,6 +262,8 @@ def sweep(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int
         raise GridError("seed must be nonnegative")
     if trials < 1:
         raise GridError("trials must be at least 1")
+    if workers < 1:
+        raise GridError("workers must be at least 1")
     r_values = tuple(float(v) for v in r_values)
     p_values = tuple(float(v) for v in p_values)
     lam_values = tuple(float(v) for v in lam_values)

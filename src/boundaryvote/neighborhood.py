@@ -1,8 +1,9 @@
 """Fixed-radius neighbor queries over a sensor field.
 
 Neighborhoods are closed balls: sensors i and j are neighbors when
-dx*dx + dy*dy <= r*r, the k-d tree's own test, so two sensors at distance
-exactly r are neighbors.
+dx*dx + dy*dy <= r*r in float64, the listing's own test, so two sensors at
+distance exactly r are neighbors. One expression computes it, for the
+listing and for its radius bins.
 
 A field has one listing, built for a fixed, sorted set of unique radii:
 its pairs (i, j), i < j, at the widest radius, as int32 ids. They are
@@ -12,6 +13,22 @@ the bit length of n - 1, the key is (i << s) | j. It is uint32 while
 The listing's row pointers, where each sensor's pairs start, are computed
 once. A `NeighborIndex` is a view of the listing at its k-th radius;
 `build_indexes` builds the listing and returns one view per radius.
+
+The listing is a fixed-radius sweep over sorted x-strips (Bentley, Stanat &
+Williams, IPL 6(6), 1977). Its reach is the float just above the largest t
+with t*t <= r*r. A pair the test accepts has coordinate differences that
+round to at most t, so they are below the reach; and a float past a
+coordinate plus the reach, rounded to nearest, is past the exact sum. The
+strips are half a reach wide, or wider, so that there are at most n + 1 of
+them however small r is. The sensors are swept in (strip, y) order, the
+order of strip * n plus their rank by y. A sensor's candidates are
+contiguous ranges of that order, each found by `searchsorted`: the rest of
+its own strip up to a reach above it, and the window from a reach below it
+to a reach above it in each following strip up to the last one that a reach
+along x touches. So the candidates hold every pair the test accepts, once,
+whatever the sizes of r and of the coordinates, and the test then decides.
+Candidates are tested a chunk at a time, and the keys of the accepted ones
+fill one buffer sized by the candidate count.
 
 With more than one radius, the listing keeps one radius bin per pair, in
 the smallest unsigned type that holds the radius count (uint8 up to 256
@@ -72,29 +89,92 @@ indices.
 """
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 
-_CHUNK = 1 << 16  # pairs binned or partitioned at once: their temporaries stay in cache
+_CHUNK = 1 << 16  # candidates tested, or pairs binned or partitioned, at once: kept in cache
 
 
-def _sort_packed(fields) -> np.ndarray:
-    """Sorted keys packing (nonnegative ints, bit width) fields, most significant first.
+def _key_type(bits: int) -> type:
+    """The unsigned type of a packed key of this many bits: uint32 up to 32, uint64 up to 64.
 
-    uint32 keys up to 32 bits, uint64 up to 64; a wider key would wrap, so it raises.
+    A wider key would wrap, so it raises.
     """
-    bits = sum(width for _, width in fields)
     if bits > 64:
         raise OverflowError(f"a {bits}-bit sort key does not fit 64 bits")
-    key = fields[0][0].astype(np.uint32 if bits <= 32 else np.uint64)
-    for values, width in fields[1:]:
-        key <<= width
-        key |= values.view(f"u{values.itemsize}")  # unsigned: no signed promotion
+    return np.uint32 if bits <= 32 else np.uint64
+
+
+def _sorted_pairs(key: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """int32 ids (i, j) of packed keys (i << s) | j in ascending key order; sorts key in place."""
     key.sort()
-    return key
+    i = key >> s
+    key &= (1 << s) - 1
+    # int32 ids halve the memory of the listing and its parts
+    return tuple(ids.view(np.int32) if ids.itemsize == 4 else ids.astype(np.int32)
+                 for ids in (i, key))
+
+
+def _squared_distances(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """dx*dx + dy*dy between the complex points at ids i and j: the closed-ball test's sum."""
+    d = points.take(i) - points.take(j)  # one gather per endpoint
+    return d.real * d.real + d.imag * d.imag
+
+
+def _reach(r2: float) -> float:
+    """A float above |b - a| of the coordinates of every pair with dx*dx + dy*dy <= r2.
+
+    t*t rounds monotonically in t >= 0, and nonnegative floats order as their
+    bits, so a bisection on the bits finds the largest float t with
+    t*t <= r2, also where r2 underflowed to 0. A difference b - a that rounds
+    to at most t is at most half an ulp above t, so below the next float.
+    """
+    low, high = 0, 0x7FEFFFFFFFFFFFFF  # the bits of 0.0 and of the largest finite float
+    while low < high:
+        mid = (low + high + 1) // 2
+        t = float(np.int64(mid).view(np.float64))
+        low, high = (mid, high) if t * t <= r2 else (low, mid - 1)
+    return math.nextafter(float(np.int64(low).view(np.float64)), math.inf)
+
+
+def _sweep(positions: np.ndarray, reach: float) -> tuple[np.ndarray, ...]:
+    """Sensors in (strip, y) order, and the ranges of that order that hold their candidates.
+
+    Returns order, the sensor at each sweep position, and three arrays with
+    one entry per nonempty range: its first position, its length, and the
+    position of the sensor whose candidates it holds.
+    """
+    n = positions.shape[0]
+    x, y = positions.T
+    left = x.min(initial=math.inf)
+    width = max(reach / 2, (x.max(initial=-math.inf) - left) / max(n, 1))
+    strip = ((x - left) / width).astype(np.int64)  # monotone in x, at most n + 1
+    by_y = np.argsort(y, kind="stable")
+    ys = y.take(by_y)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_y] = np.arange(n)
+    cell = strip * n + rank
+    order = np.argsort(cell)
+    cell, strip, x, y = (values.take(order) for values in (cell, strip, x, y))
+    # each sensor's window as y ranks, and the last strip that a reach along x touches
+    low = np.searchsorted(ys, y - reach)
+    high = np.searchsorted(ys, y + reach, side="right")
+    far = strip.take(np.searchsorted(np.sort(x), x + reach, side="right") - 1)
+    starts, stops, owners = [], [], []
+    for step in range(int((far - strip).max(initial=0)) + 1):
+        near = np.flatnonzero(far - strip >= step)  # at step 0, every sensor
+        row = (strip.take(near) + step) * n
+        # in its own strip, a sensor's candidates start right after it
+        starts.append(np.searchsorted(cell, row + low.take(near)) if step else near + 1)
+        stops.append(np.searchsorted(cell, row + high.take(near)))
+        owners.append(near)
+    starts, owners = np.concatenate(starts), np.concatenate(owners)
+    sizes = np.concatenate(stops) - starts
+    busy = np.flatnonzero(sizes)
+    return order, starts.take(busy), sizes.take(busy), owners.take(busy)
 
 
 def _row_starts(rows, n: int) -> np.ndarray:
@@ -134,28 +214,44 @@ class _Listing:
 
     def _list(self) -> tuple[np.ndarray, np.ndarray]:
         """All pairs (i, j) with i < j within the widest radius, in (i, j) order, as int32."""
-        raw = cKDTree(self.positions).query_pairs(self.radii[-1], output_type="ndarray")
+        r = self.radii[-1]
         s = max(self.n - 1, 0).bit_length()  # bits of a sensor id in the key
-        key = _sort_packed([(raw[:, 0], s), (raw[:, 1], s)])
-        del raw
-        i = key >> s
-        key &= (1 << s) - 1
-        # int32 ids halve the memory of the listing and its parts
-        return tuple(ids.view(np.int32) if ids.itemsize == 4 else ids.astype(np.int32)
-                     for ids in (i, key))
+        key_type = _key_type(2 * s)
+        order, starts, sizes, owners = _sweep(self.positions, _reach(r * r))
+        points = self.positions.view(np.complex128).ravel().take(order)  # in sweep order
+        ids = order.astype(key_type)
+        ends = np.cumsum(sizes)  # candidates through each range
+        keys = np.empty(ends[-1] if ends.size else 0, dtype=key_type)
+        filled = done = first = 0
+        while first < ends.size:  # ranges first..last - 1 hold about _CHUNK candidates
+            last = max(int(np.searchsorted(ends, done + _CHUNK, side="right")), first + 1)
+            size = sizes[first:last]
+            offsets = starts[first:last] - (ends[first:last] - size - done)
+            at = np.repeat(offsets, size) + np.arange(ends[last - 1] - done)
+            own = np.repeat(owners[first:last], size)
+            hit = _squared_distances(points, own, at) <= r * r
+            a, b = ids.take(own), ids.take(at)
+            key = np.minimum(a, b)
+            key <<= s
+            key |= np.maximum(a, b)
+            fill = slice(filled, filled + np.count_nonzero(hit))
+            keys[fill] = key[hit]
+            filled, done, first = fill.stop, int(ends[last - 1]), last
+        key = keys[:filled].copy()
+        del keys  # freed before the sort
+        return _sorted_pairs(key, s)
 
     def _bin(self) -> np.ndarray:
         """Each listed pair's count of the smaller radii that miss it.
 
-        A pair the tree lists at the widest radius stays in its bin, so the
-        widest radius's own test is never repeated on the listing.
+        A pair listed at the widest radius stays in its bin, so the widest
+        radius's own test is never repeated on the listing.
         """
         i, j = self.pairs
-        points = self.positions.view(np.complex128).ravel()  # one gather per endpoint
+        points = self.positions.view(np.complex128).ravel()
         out = np.zeros(i.size, dtype=np.min_scalar_type(len(self.radii) - 1))
         for start in range(0, i.size, _CHUNK):
-            d = points.take(i[start:start + _CHUNK]) - points.take(j[start:start + _CHUNK])
-            sq = d.real * d.real + d.imag * d.imag  # dx*dx + dy*dy, the tree's own test
+            sq = _squared_distances(points, i[start:start + _CHUNK], j[start:start + _CHUNK])
             bins = out[start:start + _CHUNK]
             for r in self.radii[:-1]:
                 bins += sq > r * r

@@ -1,6 +1,12 @@
 """CLI tests: config parsing, flag precedence, exit codes, output formats."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import boundaryvote
 from boundaryvote import harness
 from boundaryvote.cli import main
 from boundaryvote.harness import CSV_COLUMNS
@@ -95,6 +101,8 @@ class TestExitCodes:
         ["bounds", "--r-values", "1e-200", "--p-values", "0.1", "--lambda-values", "100"],
         ["sweep", "--r-values", "1e-200", "--p-values", "0.1", "--lambda-values", "100",
          "--trials", "1"],
+        ["worstcase", "--shape", "comb", "--r", "1e-9", "--ell", "0.4", "--trials", "1"],
+        ["bounds", "--region-type", "comb", "--r", "1e-9", "--region-ell", "0.4"],
     ])
     def test_bad_inputs_return_2(self, argv, capsys):
         assert main(argv) == 2
@@ -118,6 +126,18 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="fault inside the numeric code"):
             main(["simulate", "--lambda", "200", "--trials", "1"])
         assert "config error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_return_2(self, workers, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("made a process pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "sample_field", no_pool)
+        argv = ["sweep", "--lambda-values", "100", "--p-values", "0.1", "--r-values", "0.05",
+                "--trials", "2", "--workers", workers]
+        assert main(argv) == 2
+        assert "config error: workers must be at least 1\n" in capsys.readouterr().err
 
     def test_unwritable_output_returns_3(self, capsys):
         rc = main(["sweep", "--lambda-values", "500", "--p-values", "0.1",
@@ -269,3 +289,13 @@ class TestRenderCommand:
         assert main(["render", "--config", cfg_file, "--out", str(out)]) == 0
         text = out.read_text()
         assert "<svg" in text and 'class="corrected"' in text
+
+
+def test_cli_import_leaves_out_scipy_spatial():
+    # the pair listing is the package's own sweep, so no process pays for a k-d tree import
+    src = str(Path(boundaryvote.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, boundaryvote.cli; print('scipy.spatial' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout == "False\n"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from boundaryvote.geometry import (Arc, Comb, RoundedRect, SensorClass,
+from boundaryvote.geometry import (COMB_MAX_STRIPS, Arc, Comb, RoundedRect, SensorClass,
                                    ZoneLabel, _zone_area_mc, build_comb, build_thin_rectangle,
                                    classify_good_bad, contains,
                                    distance_to_boundary, dubious_zone_area,
@@ -245,6 +245,14 @@ class TestComb:
     def test_rejects_non_multiple(self):
         with pytest.raises(ValueError):
             build_comb(0.05, 0.45)
+
+    def test_strip_count_is_bounded(self):
+        ell = 0.4
+        assert build_comb(ell / (4 * COMB_MAX_STRIPS), ell).strip_count == COMB_MAX_STRIPS
+        # 10^8 strips: the count is checked before any strip is laid out
+        for r in (ell / (4 * (COMB_MAX_STRIPS + 1)), 1e-9):
+            with pytest.raises(ValueError, match="exceeds the limit of 1000"):
+                build_comb(r, ell)
 
     def test_perimeter_bound(self):
         for r, ell in [(0.05, 0.4), (0.02, 0.24), (0.03, 0.36)]:

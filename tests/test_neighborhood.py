@@ -1,5 +1,6 @@
 """Neighbor index tests against the brute-force pairwise oracle."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from scipy.spatial import cKDTree
 from boundaryvote import neighborhood
 from boundaryvote.geometry import build_comb, region_xl, region_xs
 from boundaryvote.harness import SimConfig, _field_unit, run_trial, run_trial_field, trial_seed
-from boundaryvote.neighborhood import (_lanes, _row_starts, _sort_packed, build_index,
-                                       build_indexes, neighbors_within)
+from boundaryvote.neighborhood import (_key_type, _lanes, _Listing, _reach, _row_starts,
+                                       _sorted_pairs, build_index, build_indexes,
+                                       neighbors_within)
 from boundaryvote.sampling import SensorField, assign_measurements, sample_field
 from boundaryvote.vote import SINGLE_ROUND, multi_round_mode
 
@@ -126,29 +128,171 @@ class TestBuildIndexes:
         with pytest.raises(ValueError):
             build_indexes(make_field([0.5, 0.6], [0.5, 0.5]), radii)
 
-    def test_one_tree_query_and_one_row_pointer_pass(self, monkeypatch):
-        calls = {"query_pairs": 0, "row_starts": 0}
+    def test_one_listing_and_one_row_pointer_pass(self, monkeypatch):
+        calls = {"listings": 0, "row_starts": 0}
+        listing = _Listing._list
 
-        class Tree(cKDTree):
-            def query_pairs(self, *args, **kwargs):
-                calls["query_pairs"] += 1
-                return super().query_pairs(*args, **kwargs)
+        def list_pairs(self):
+            calls["listings"] += 1
+            return listing(self)
 
         def row_starts(rows, n):
             calls["row_starts"] += 1
             return _row_starts(rows, n)
 
-        monkeypatch.setattr(neighborhood, "cKDTree", Tree)
+        monkeypatch.setattr(_Listing, "_list", list_pairs)
         monkeypatch.setattr(neighborhood, "_row_starts", row_starts)
         rng = np.random.default_rng(71)
         field = make_field(rng.random(500), rng.random(500))
         values = rng.random(500) < 0.5
         for radii in ([0.05], [0.08, 0.03, 0.05, 0.03]):
-            calls.update(query_pairs=0, row_starts=0)
+            calls.update(listings=0, row_starts=0)
             for index in build_indexes(field, radii):  # every view reads all it holds
                 index.pairs, index.counts, index.count_sums(values)
                 index.weighted_sums(values.astype(float))
-            assert calls == {"query_pairs": 1, "row_starts": 1}, radii
+            assert calls == {"listings": 1, "row_starts": 1}, radii
+
+
+def tree_pairs(positions, r):
+    """The k-d tree's pairs within r, lexsorted: an oracle independent of the sweep."""
+    raw = cKDTree(positions).query_pairs(r, output_type="ndarray")
+    order = np.lexsort((raw[:, 1], raw[:, 0]))
+    return raw[order, 0], raw[order, 1]
+
+
+def brute_pairs(positions, r):
+    """Every pair i < j with dx*dx + dy*dy <= r*r, in (i, j) order."""
+    d = positions[:, None, :] - positions[None, :, :]
+    return np.nonzero(np.triu(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] <= r * r, 1))
+
+
+def assert_listing_matches(positions, r):
+    """The listing's pairs equal both oracles', as int32; returns how many there are."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+    got = _Listing(positions, [r]).pairs
+    assert got[0].dtype == got[1].dtype == np.int32
+    for want in (tree_pairs(positions, r), brute_pairs(positions, r)):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), r
+    return got[0].size
+
+
+def nudged(value, steps):
+    """value moved by steps ulps."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+@st.composite
+def sweep_case(draw):
+    """0-40 sensors at a drawn offset and scale, some coincident, and a radius.
+
+    The radius is drawn over a wide range down to the smallest subnormal, or
+    within two ulps of a pair distance, so that pairs sit on the closed-ball edge.
+    """
+    n = draw(st.integers(0, 40))
+    offset = draw(st.sampled_from([0.0, -0.5, 1e6]))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e-9]))
+    unit = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5]))
+    x, y = (offset + scale * np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+            for _ in range(2))
+    positions = np.column_stack((x, y)).astype(float).reshape(-1, 2)
+    d = np.hypot(*(positions[:, None, :] - positions[None, :, :]).T).ravel()
+    radii = st.floats(5e-324, 4.0)
+    if np.any(d > 0):
+        edge = st.sampled_from(sorted(set(d[d > 0].tolist())))
+        radii = st.one_of(radii, st.builds(nudged, edge, st.integers(-2, 2)))
+    return positions, draw(radii)
+
+
+class TestSweep:
+    """The strip sweep lists exactly the k-d tree's pairs and the brute-force pairs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_case())
+    def test_matches_the_tree_and_brute_force(self, case):
+        assert_listing_matches(*case)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_fields(self, n):
+        assert assert_listing_matches(np.full((n, 2), 0.5), 0.1) == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("r", [0.1, 1e-9, 5e-324])
+    def test_all_points_coincident(self, r):
+        assert assert_listing_matches(np.full((30, 2), 0.3), r) == 30 * 29 // 2
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_pairs_one_ulp_either_side_of_r(self, axis):
+        # r = 0.125 from an anchor at 0.25: 0.375 is a pair, 0.375 + 1 ulp is not
+        steps = [-2, -1, 0, 1, 2]
+        positions = np.full((len(steps) + 1, 2), 0.5)
+        positions[0, axis] = 0.25
+        positions[1:, axis] = [nudged(0.375, k) for k in steps]
+        assert assert_listing_matches(positions, 0.125) == 10 + 3  # the anchor with 3 of them
+
+    # b - a rounds to r or below, so the test accepts the pair, but a + r rounds below b
+    EDGE_PAIRS = [(-0.08277025938204419, -0.0009304321082119204, 0.08183982727383227),
+                  (-0.07535131086748066, 0.032277351776374995, 0.10762866264385565),
+                  (-0.03297317164990922, 0.12471256903577166, 0.15768574068568086),
+                  (-0.0999, 0.00010000000000000975, 0.1)]  # a + r is exact, b 3 ulps above
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("a, b, r", EDGE_PAIRS)
+    def test_pair_past_the_rounded_sum_of_coordinate_and_radius(self, axis, a, b, r):
+        assert (b - a) * (b - a) <= r * r and b > a + r
+        positions = np.full((2, 2), 0.5)
+        positions[:, axis] = a, b
+        assert assert_listing_matches(positions, r) == 1
+
+    @pytest.mark.parametrize("a, b, r", EDGE_PAIRS)
+    def test_pair_below_across_a_strip_border(self, a, b, r):
+        # mirrored, -a - r rounds above -b; the sensor at y = -a sits in the strip left
+        # of the border, so its window in the next strip must reach down to -b
+        border = _reach(r * r) / 2
+        positions = [[border - 1e-12, -a], [border + 1e-12, -b], [0.0, 2 * r - a]]  # 3rd: origin
+        assert assert_listing_matches(positions, r) == 1
+
+    def test_points_on_and_one_ulp_across_strip_borders(self):
+        r = 0.1
+        width = _reach(r * r) / 2  # the strip width while the strips are fewer than the sensors
+        borders = np.arange(12) * width
+        x = np.concatenate([borders, np.nextafter(borders, -1.0), np.nextafter(borders, 2.0),
+                            borders + r, np.nextafter(borders + r, 2.0), borders + 0.06])
+        y = np.concatenate([np.full(60, 0.5), np.full(12, 0.58)])  # the last 12: 0.1 by 3-4-5
+        assert assert_listing_matches(np.column_stack((x, y)), r) > 0
+
+    @pytest.mark.parametrize("r", [0.1, 1e-9])
+    def test_coordinates_offset_by_a_million(self, r):
+        rng = np.random.default_rng(83)
+        positions = 1e6 + rng.random((300, 2))
+        ulp = math.ulp(1e6)
+        near = positions[:20] + ulp * rng.integers(-8, 9, (20, 2))  # pairs within a few ulps
+        assert assert_listing_matches(np.vstack((positions, near)), r) > 0
+
+    @pytest.mark.parametrize("r", [1.5, 10.0])
+    def test_radius_past_the_span(self, r):
+        rng = np.random.default_rng(89)
+        assert assert_listing_matches(rng.random((200, 2)), r) == 200 * 199 // 2
+
+    @pytest.mark.parametrize("r", [1e-9, 6.78e-186, 5e-324])  # at the last two, r*r underflows
+    def test_tiny_radii(self, r):
+        rng = np.random.default_rng(97)
+        # near the origin, offsets far below an ulp of 0.5 are representable
+        cluster = [[0.0, 0.0], [1e-170, 0.0], [0.0, 1e-163], [2e-162, 0.0], [1e-186, 1e-186],
+                   [1e-10, 0.0], [0.0, 2e-9], [0.0, 0.0]]
+        positions = np.vstack((rng.random((300, 2)), cluster))
+        assert assert_listing_matches(positions, r) > 0
+
+    def test_tiny_radius_lists_in_little_memory(self):
+        # strips sized by the radius alone would number in the millions here
+        positions = np.random.default_rng(101).random((2000, 2))
+        tracemalloc.start()
+        try:
+            _Listing(positions, [1e-9])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21, peak
 
 
 def draw_field_and_radii(draw, max_radii):
@@ -271,13 +415,15 @@ class TestPrefixTally:
         assert got[0].dtype == got[1].dtype == np.int32
 
     def test_sort_key_past_64_bits_raises(self):
-        top = np.array([2**32 - 1, 0, 2**32 - 1], dtype=np.int64)
-        low = np.array([2**32 - 1, 1, 0], dtype=np.int64)
-        key = _sort_packed([(top, 32), (low, 32)])  # exactly 64 bits: no wrap
-        assert key.dtype == np.uint64
-        assert key.tolist() == [1, 2**64 - 2**32, 2**64 - 1]
+        assert _key_type(32) is np.uint32
+        assert _key_type(33) is _key_type(64) is np.uint64  # exactly 64 bits: no wrap
         with pytest.raises(OverflowError):
-            _sort_packed([(top, 32), (low, 33)])
+            _key_type(65)
+        top = 2**31 - 1  # the largest int32 id, in a 32-bit field of the key
+        key = np.array([(top << 32) | top, 1, top << 32], dtype=np.uint64)
+        i, j = _sorted_pairs(key, 32)  # in ascending key order
+        assert i.dtype == j.dtype == np.int32
+        assert i.tolist() == [0, top, top] and j.tolist() == [1, 0, top]
 
 
 @st.composite
@@ -546,17 +692,17 @@ class TestOneSort:
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        calls = {"sorts": [], "row_starts": 0}
+        calls = {"sorts": 0, "row_starts": 0}
 
-        def sort(fields):
-            calls["sorts"].append(len(fields))
-            return _sort_packed(fields)
+        def sort(key, s):
+            calls["sorts"] += 1
+            return _sorted_pairs(key, s)
 
         def row_starts(rows, n):
             calls["row_starts"] += 1
             return _row_starts(rows, n)
 
-        monkeypatch.setattr(neighborhood, "_sort_packed", sort)
+        monkeypatch.setattr(neighborhood, "_sorted_pairs", sort)
         monkeypatch.setattr(neighborhood, "_row_starts", row_starts)
         return calls
 
@@ -564,13 +710,13 @@ class TestOneSort:
     def test_field_unit(self, calls, mode):
         # p = 0.3 at r = 0.02 runs 8 rounds, so the cuts' U are built too
         _field_unit(3, 1500.0, 0, (region_xs(),), (0.05, 0.3), (0.02, 0.04, 0.06), mode)
-        assert calls == {"sorts": [2], "row_starts": 1}  # B and every U share the row pointers
+        assert calls == {"sorts": 1, "row_starts": 1}  # B and every U share the row pointers
 
     def test_lone_multi_round_index(self, calls):
         config = SimConfig(lam=1500.0, p=0.3, r=0.05, region=region_xs(),
                            mode=multi_round_mode(0.5), seed=3)
         assert run_trial_field(config)[1].rounds_executed == 3
-        assert calls == {"sorts": [2], "row_starts": 1}
+        assert calls == {"sorts": 1, "row_starts": 1}
 
 
 class TestTallyCount:
