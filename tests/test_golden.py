@@ -9,7 +9,8 @@ differ by an ulp on another platform, so their digests are compared only
 under the numpy and scipy versions recorded in the golden file.
 
 A change that is meant to move an output regenerates the file, and says why
-in CHANGES.md:
+in CHANGES.md. Regeneration prints to stderr the name of each case whose
+record changed, before it writes the file:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -140,6 +141,10 @@ def test_every_case_is_pinned(golden):
 
 if __name__ == "__main__":
     cases = {name: run_case(argv) for name, argv in CASES.items()}
+    pinned = json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else {}
+    for name in sorted(cases.keys() | pinned.keys()):
+        if cases.get(name) != pinned.get(name):
+            print(f"changed: {name}", file=sys.stderr)
     GOLDEN.write_text(json.dumps({"regenerate": REGENERATE, **_versions(), "cases": cases},
                                  indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(cases)} cases to {GOLDEN}", file=sys.stderr)
