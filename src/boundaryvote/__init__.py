@@ -14,9 +14,8 @@ from .geometry import (Comb, RoundedRect, SensorClass, ZoneArea,
                        classify_good_bad, contains, distance_to_boundary,
                        dubious_zone_area, dubious_zone_areas, region_xl, region_xs,
                        zone_of)
-from .harness import (GridError, SimConfig, SweepResult, SweepRow, TrialMetrics,
-                      best_radius, bound_table, run_trial, run_trial_field, sweep,
-                      sweep_csv_string, trial_seed, write_sweep_csv)
+from .harness import (GridError, SweepResult, SweepRow, TrialMetrics, best_radius,
+                      bound_table, sweep, sweep_csv_string, trial_seed, write_sweep_csv)
 from .neighborhood import NeighborIndex, build_index, build_indexes, neighbors_within
 from .render import render_field
 from .sampling import SensorField, assign_measurements, sample_field, write_field_csv

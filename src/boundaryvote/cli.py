@@ -2,9 +2,10 @@
 
 Configuration comes from an optional flat key=value file plus flags; flags
 override file values. Exit codes: 0 success, 2 configuration error, 3 I/O
-error. Each command checks its own inputs and reports a bad one as a
-configuration error; any other exception is a fault in the program and
-propagates with its traceback (exit code 1).
+error. Each command checks its inputs, through harness.check_inputs where
+they are the model's, and reports a bad one as a configuration error; any
+other exception is a fault in the program and propagates with its traceback
+(exit code 1).
 """
 from __future__ import annotations
 
@@ -15,9 +16,8 @@ import sys
 
 from . import bounds as bounds_mod
 from .geometry import RoundedRect, build_comb, build_thin_rectangle, region_xl, region_xs
-from .harness import (METRIC_FIELDS, GridError, SimConfig, best_radius, bound_table,
-                      mean_and_se, run_trial, run_trial_field, sweep, write_sweep_csv,
-                      _fmt, _write_table)
+from .harness import (METRIC_FIELDS, GridError, best_radius, bound_table, check_inputs,
+                      mean_and_se, sweep, write_sweep_csv, _cells, _fmt, _write_table)
 from .render import render_field
 from .sampling import write_field_csv
 from .vote import SINGLE_ROUND, multi_round_mode, round_count
@@ -101,7 +101,8 @@ def _vote_mode(cfg: dict, args):
         raise ConfigError(str(exc)) from exc
 
 
-def build_sim_config(args) -> SimConfig:
+def _one_cell(args) -> tuple:
+    """The checked (seed, lam, region, p, r, mode, trials) of a simulate or render run."""
     cfg = parse_config_file(args.config) if args.config else {}
     lam = _get(cfg, "lambda", args.lam, 600.0, float)
     p = _get(cfg, "p", args.p, 0.15, float)
@@ -110,11 +111,8 @@ def build_sim_config(args) -> SimConfig:
     trials = _get(cfg, "trials", args.trials, 1, int)
     mode = _vote_mode(cfg, args)
     region = build_region(cfg, args)
-    try:
-        return SimConfig(lam=lam, p=p, r=r, region=region, mode=mode,
-                         seed=seed, trials=trials)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    check_inputs((r,), (p,), (lam,), (region,), seed=seed, trials=trials)
+    return seed, lam, region, p, r, mode, trials
 
 
 def _add_common(parser):
@@ -165,15 +163,17 @@ def _output(path):
 
 
 def cmd_simulate(args) -> int:
-    config = build_sim_config(args)
-    field, _, first = run_trial_field(config, 0)
-    if args.dump_field:
-        write_field_csv(field, args.dump_field)
-    rows = [first] + [run_trial(config, t) for t in range(1, config.trials)]
-    print(f"region={config.region.name} lambda={_fmt(config.lam)} p={_fmt(config.p)} "
-          f"r={_fmt(config.r)} mode={config.mode.kind} trials={config.trials}")
-    if config.mode.kind == "multi":
-        print(f"rounds={round_count(config.p, config.r, config.mode.c)}")
+    seed, lam, region, p, r, mode, trials = _one_cell(args)
+    rows = []
+    for t in range(trials):
+        field, _, metrics = next(_cells(seed, lam, t, (region,), (p,), (r,), mode))
+        if t == 0 and args.dump_field:
+            write_field_csv(field, args.dump_field)
+        rows.append(metrics)
+    print(f"region={region.name} lambda={_fmt(lam)} p={_fmt(p)} "
+          f"r={_fmt(r)} mode={mode.kind} trials={trials}")
+    if mode.kind == "multi":
+        print(f"rounds={round_count(p, r, mode.c)}")
     for name in METRIC_FIELDS:
         mean, se = mean_and_se([getattr(m, name) for m in rows])
         print(f"{name}_mean={mean:.6g} se={se:.4g}")
@@ -191,11 +191,8 @@ def cmd_sweep(args) -> int:
         if name not in NAMED_REGIONS:
             raise ConfigError(f"unknown sweep region {name!r} (expected xs or xl)")
     regions = [NAMED_REGIONS[name]() for name in names or NAMED_REGIONS]
-    try:
-        result = sweep(r_values, p_values, lam_values, regions, seed=seed,
-                       trials=trials, mode=mode, workers=args.workers)
-    except GridError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = sweep(r_values, p_values, lam_values, regions, seed=seed,
+                   trials=trials, mode=mode, workers=args.workers)
     with _output(args.out) as fh:
         write_sweep_csv(result, fh)
     if args.best_radius:
@@ -208,10 +205,7 @@ def cmd_sweep(args) -> int:
 def cmd_bounds(args) -> int:
     cfg = parse_config_file(args.config) if args.config else {}
     region = build_region(cfg, args)
-    try:
-        reports = bound_table(*_grids(args), [region])
-    except GridError as exc:
-        raise ConfigError(str(exc)) from exc
+    reports = bound_table(*_grids(args), [region])
     with _output(args.out) as fh:
         _write_table(fh, ("region", "lambda", "p", "r", "zr_area", "area_outside",
                           "thm1_upper", "thm1_lower", "thm2_upper", "thm3_upper",
@@ -235,10 +229,11 @@ def cmd_worstcase(args) -> int:
         lower_target = lam * ell * ell / 32.0
     try:
         region = build_thin_rectangle(r) if args.shape == "thin" else build_comb(r, ell)
-        config = SimConfig(lam=lam, p=p, r=r, region=region, seed=seed, trials=trials)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = [run_trial(config, t) for t in range(trials)]
+    check_inputs((r,), (p,), (lam,), (region,), seed=seed, trials=trials)
+    rows = [next(_cells(seed, lam, t, (region,), (p,), (r,), SINGLE_ROUND))[2]
+            for t in range(trials)]
     t2 = bounds_mod.thm2_upper(lam, r, region.perimeter, region.components)
     with _output(args.out) as fh:
         _write_table(fh, ("shape", "lambda", "p", "r", "ell", "trials", "n_sensors_mean",
@@ -250,11 +245,11 @@ def cmd_worstcase(args) -> int:
 
 
 def cmd_render(args) -> int:
-    config = build_sim_config(args)
+    seed, lam, region, p, r, mode, _ = _one_cell(args)
     if args.trial < 0:
         raise ConfigError(f"trial={args.trial} must be nonnegative")
-    field, outcome, _ = run_trial_field(config, args.trial)
-    render_field(field, outcome, config.region, args.out)
+    field, outcome, _ = next(_cells(seed, lam, args.trial, (region,), (p,), (r,), mode))
+    render_field(field, outcome, region, args.out)
     return 0
 
 
@@ -315,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, GridError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

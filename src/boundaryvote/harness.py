@@ -27,29 +27,6 @@ from .vote import SINGLE_ROUND, VoteMode, run_vote
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    lam: float
-    p: float
-    r: float
-    region: object
-    mode: VoteMode = SINGLE_ROUND
-    seed: int = 0
-    trials: int = 1
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if not 0.0 <= self.p <= 0.5:
-            raise ValueError("p must lie in [0, 1/2]")
-        if self.r <= 0:
-            raise ValueError("r must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-
-
-@dataclass(frozen=True)
 class TrialMetrics:
     n_sensors: int
     initial_errors: int
@@ -114,17 +91,6 @@ def compute_metrics(truth, measured, decided, signed_dist, r: float) -> TrialMet
         gross_correction_rate=gross,
         degenerate=degenerate,
     )
-
-
-def run_trial(config: SimConfig, trial_index: int = 0) -> TrialMetrics:
-    """Sample, measure, index, vote, and score one trial (fully deterministic)."""
-    return run_trial_field(config, trial_index)[2]
-
-
-def run_trial_field(config: SimConfig, trial_index: int = 0):
-    """Like run_trial but also returns the field and vote outcome (for rendering)."""
-    return next(_cells(config.seed, config.lam, trial_index, (config.region,),
-                       (config.p,), (config.r,), config.mode))
 
 
 def _cells(master_seed, lam, trial, regions, p_values, r_values, mode):
@@ -215,15 +181,22 @@ def _field_unit(master_seed, lam, trial, regions, p_values, r_values, mode):
 
 
 class GridError(ValueError):
-    """A sweep or bound-table input outside the domain of the model or its bounds."""
+    """A command input outside the domain of the model or its bounds."""
 
 
-def bound_table(r_values, p_values, lam_values, regions) -> list:
-    """Bound report of every grid cell, in sweep row order (region, lam, p, r).
+def check_inputs(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int = 1,
+                 workers: int = 1) -> None:
+    """Raise a GridError for a grid, seed, trial count or worker count the model cannot run.
 
-    Checks the grids first and evaluates no field, so a sweep whose grid or
-    bounds are out of domain fails with a GridError before it samples anything.
+    Every command checks its inputs here before it samples a field. The rules
+    that only the bounds need stay in bound_table.
     """
+    if seed < 0:
+        raise GridError("seed must be nonnegative")
+    if trials < 1:
+        raise GridError("trials must be at least 1")
+    if workers < 1:
+        raise GridError("workers must be at least 1")
     if not (r_values and p_values and lam_values and regions):
         raise GridError("grids must be nonempty")
     for lam in lam_values:
@@ -235,6 +208,16 @@ def bound_table(r_values, p_values, lam_values, regions) -> list:
     for r in r_values:
         if not r > 0:
             raise GridError(f"r={r} must be positive")
+
+
+def bound_table(r_values, p_values, lam_values, regions) -> list:
+    """Bound report of every grid cell, in sweep row order (region, lam, p, r).
+
+    Checks the grids first and evaluates no field, so a sweep whose grid or
+    bounds are out of domain fails with a GridError before it samples anything.
+    """
+    check_inputs(r_values, p_values, lam_values, regions)
+    for r in r_values:
         if 4.0 * math.pi * r * r < sys.float_info.min:  # Theorem 1's lower bound divides by it
             raise GridError(f"r={r} is too small: 4*pi*r^2 underflows")
     reports = []
@@ -258,16 +241,12 @@ def sweep(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int
     order, so the output is identical for any worker count. The grids and
     the bounds are checked before any field is sampled.
     """
-    if seed < 0:
-        raise GridError("seed must be nonnegative")
-    if trials < 1:
-        raise GridError("trials must be at least 1")
-    if workers < 1:
-        raise GridError("workers must be at least 1")
     r_values = tuple(float(v) for v in r_values)
     p_values = tuple(float(v) for v in p_values)
     lam_values = tuple(float(v) for v in lam_values)
     regions = tuple(regions)
+    check_inputs(r_values, p_values, lam_values, regions, seed=seed, trials=trials,
+                 workers=workers)
     reports = iter(bound_table(r_values, p_values, lam_values, regions))
     shape = (len(regions), len(lam_values), len(p_values), len(r_values),
              trials, len(METRIC_FIELDS))

@@ -21,11 +21,10 @@ from boundaryvote.cli import PAPER_LAM_GRID, PAPER_P_GRID, PAPER_R_GRID
 from boundaryvote.geometry import (build_comb, build_thin_rectangle,
                                    dubious_zone_area, region_xl, region_xs)
 from boundaryvote.geometry import _zone_area_mc
-from boundaryvote.harness import (METRIC_FIELDS, SimConfig, best_radius,
-                                  run_trial, sweep, sweep_csv_string)
+from boundaryvote.harness import METRIC_FIELDS, _cells, best_radius, sweep, sweep_csv_string
 from boundaryvote.neighborhood import build_index, neighbors_within
 from boundaryvote.sampling import SensorField
-from boundaryvote.vote import majority_round, multi_round, multi_round_mode
+from boundaryvote.vote import SINGLE_ROUND, majority_round, multi_round, multi_round_mode
 
 F_FINAL = METRIC_FIELDS.index("final_errors")
 F_IN_ZR = METRIC_FIELDS.index("errors_in_zr")
@@ -123,6 +122,11 @@ def _xs_expected_counts(lam, p, r, n_grid=500):
     return lam * p, cell * float(weight @ corrected), cell * float(weight @ final)
 
 
+def _xs_trial_metrics(seed, lam, trial, p, r):
+    """Metrics of one single-round X_S trial, from the one trial body the commands use."""
+    return next(_cells(seed, lam, trial, (region_xs(),), (p,), (r,), SINGLE_ROUND))[2]
+
+
 def test_criterion_02_fig1_correction_rates():
     # Fig. 1 setting: lam=600, p=0.15, r=0.05, X_S, single round, 500 trials.
     # The paper reports net 0.76 and gross 0.81 for it, but does not state the
@@ -134,10 +138,9 @@ def test_criterion_02_fig1_correction_rates():
     # expectation: the mean initial, corrected and final error counts must
     # each lie within 4 standard errors of the expected count. A rule in which
     # the own reading also votes misses the corrected count by 32 SE.
-    cfg = SimConfig(lam=600.0, p=0.15, r=0.05, region=region_xs(),
-                    seed=0, trials=500)
-    metrics = [run_trial(cfg, t) for t in range(cfg.trials)]
-    expected = _xs_expected_counts(cfg.lam, cfg.p, cfg.r)
+    lam, p, r, seed, trials = 600.0, 0.15, 0.05, 0, 500
+    metrics = [_xs_trial_metrics(seed, lam, t, p, r) for t in range(trials)]
+    expected = _xs_expected_counts(lam, p, r)
     ok = True
     parts = []
     for name, want in zip(("initial_errors", "corrected", "final_errors"), expected):
@@ -195,7 +198,7 @@ def test_criterion_04_thm2_thm3_dominance(dominance_sweep):
 @pytest.mark.slow
 def test_criterion_05_worstcase_lower_bounds():
     lam, p, r, trials, ell = 20000.0, 0.25, 0.05, 200, 0.4
-    # both shapes run on the same fields, as run_trial draws them at seed 0
+    # both shapes run on the same fields, as `worstcase` draws them at seed 0
     res = sweep((r,), (p,), (lam,), (build_thin_rectangle(r), build_comb(r, ell)),
                 seed=0, trials=trials)
     in_zr = res.per_trial[:, 0, 0, 0, :, METRIC_FIELDS.index("errors_in_zr")]

@@ -59,6 +59,14 @@ class TestSimulate:
                      "--mode", "multi", "--trials", "1"]) == 0
         assert "rounds=5" in capsys.readouterr().out
 
+    def test_bound_only_rules_stay_out_of_its_check(self, capsys):
+        # 4*pi*r^2 underflows at r = 1e-200, which only the bound table rejects; no sensor
+        # has a neighbor there, so every sensor keeps its own reading
+        assert main(["simulate", "--r", "1e-200", "--lambda", "200", "--trials", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        means = dict(line.split()[0].split("=") for line in lines)
+        assert means["final_errors_mean"] == means["initial_errors_mean"]
+
 
 class TestExitCodes:
     def test_bad_p_returns_2(self, capsys):
@@ -107,6 +115,29 @@ class TestExitCodes:
     def test_bad_inputs_return_2(self, argv, capsys):
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "worstcase", "render", "sweep"])
+    @pytest.mark.parametrize("option, value, message", [
+        ("p", "0.9", "p=0.9 must lie in [0, 1/2]"),
+        ("lambda", "0", "lambda=0.0 must be positive"),
+        ("seed", "-1", "seed must be nonnegative"),
+        ("trials", "0", "trials must be at least 1"),
+    ], ids=["p", "lambda", "seed", "trials"])
+    def test_every_command_checks_inputs_alike(self, command, option, value, message,
+                                               monkeypatch, tmp_path, capsys):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a field before checking the inputs")
+
+        monkeypatch.setattr(harness, "sample_field", no_sampling)
+        argv = {"simulate": ["simulate"], "worstcase": ["worstcase", "--shape", "comb"],
+                "render": ["render", "--out", str(tmp_path / "trial.svg")],
+                "sweep": ["sweep"]}[command]
+        grid = command == "sweep" and option in ("p", "lambda")
+        argv += [f"--{option}-values" if grid else f"--{option}", value]
+        if option != "trials":
+            argv += ["--trials", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("command", ["sweep", "bounds"])
     def test_band_covering_the_square_names_region_and_radius(self, command, monkeypatch, capsys):

@@ -1,7 +1,7 @@
 """Harness tests: metrics accounting, seeding, sweeps, CSV determinism."""
 import io
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,17 +9,32 @@ import pytest
 from boundaryvote import harness
 from boundaryvote.geometry import (build_comb, build_thin_rectangle, dubious_zone_area,
                                    region_xl, region_xs)
-from boundaryvote.harness import (CSV_COLUMNS, METRIC_FIELDS, SimConfig,
-                                  best_radius, compute_metrics, run_trial,
-                                  run_trial_field, sweep, sweep_csv_string,
-                                  trial_seed)
-from boundaryvote.vote import multi_round_mode
+from boundaryvote.harness import (CSV_COLUMNS, METRIC_FIELDS, _cells, best_radius,
+                                  compute_metrics, sweep, sweep_csv_string, trial_seed)
+from boundaryvote.vote import SINGLE_ROUND, VoteMode, multi_round_mode
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One (region, lam, p, r) cell with the seed, trial count and mode it runs at."""
+    lam: float
+    p: float
+    r: float
+    region: object
+    seed: int
+    trials: int = 1
+    mode: VoteMode = SINGLE_ROUND
+
+    def trial(self, t):
+        """(field, outcome, metrics) of trial t, from the one trial body the commands use."""
+        return next(_cells(self.seed, self.lam, t, (self.region,), (self.p,), (self.r,),
+                           self.mode))
 
 
 def small_config(**kw):
-    defaults = dict(lam=800.0, p=0.2, r=0.05, region=region_xs(), seed=7, trials=1)
+    defaults = dict(lam=800.0, p=0.2, r=0.05, region=region_xs(), seed=7)
     defaults.update(kw)
-    return SimConfig(**defaults)
+    return Cell(**defaults)
 
 
 # every radius below r_max = 0.05 reads a cut of the r_max pair listing
@@ -27,9 +42,9 @@ RADII = (0.01, 0.02, 0.03, 0.035, 0.05)
 
 
 def assert_sweep_matches_run_trial(result, cfg):
-    """Each radius's sweep row equals the mean of run_trial at that radius."""
+    """Each radius's sweep row equals the mean of the lone cell's trials at that radius."""
     for r in result.r_values:
-        trials = [run_trial(replace(cfg, r=r), t) for t in range(cfg.trials)]
+        trials = [replace(cfg, r=r).trial(t)[2] for t in range(cfg.trials)]
         row = result.row(cfg.region.name, cfg.lam, cfg.p, r)
         for name in METRIC_FIELDS:
             want = np.mean([getattr(m, name) for m in trials])
@@ -41,7 +56,7 @@ class TestTrialMetrics:
         rng = np.random.default_rng(61)
         for seed in range(20):
             cfg = small_config(seed=seed, p=float(rng.uniform(0.05, 0.4)))
-            m = run_trial(cfg, 0)
+            m = cfg.trial(0)[2]
             assert m.final_errors == m.initial_errors - m.corrected + m.new_errors
             assert m.errors_in_zr + m.errors_outside_zr == m.final_errors
             assert m.errors_in_zr_and_x <= m.errors_in_zr
@@ -50,7 +65,7 @@ class TestTrialMetrics:
 
     def test_metrics_match_direct_recount(self):
         cfg = small_config(seed=3)
-        field, outcome, m = run_trial_field(cfg, 0)
+        field, outcome, m = cfg.trial(0)
         wrong0 = field.measured != field.truth
         wrong1 = outcome.decided != field.truth
         assert m.initial_errors == int(wrong0.sum())
@@ -63,7 +78,7 @@ class TestTrialMetrics:
         # perfect measurements: no initial errors, rates pinned to 1 by
         # convention; the vote itself may still flip band sensors whose
         # neighborhoods lie mostly across the boundary
-        m = run_trial(small_config(p=0.0), 0)
+        m = small_config(p=0.0).trial(0)[2]
         assert m.initial_errors == 0 and m.corrected == 0
         assert m.final_errors == m.new_errors
         assert m.errors_outside_zr == 0
@@ -71,23 +86,23 @@ class TestTrialMetrics:
         assert m.degenerate
 
     def test_correction_rates(self):
-        m = run_trial(small_config(seed=11), 0)
+        m = small_config(seed=11).trial(0)[2]
         assert m.correction_rate == pytest.approx(
             (m.initial_errors - m.final_errors) / m.initial_errors)
         assert m.gross_correction_rate == pytest.approx(m.corrected / m.initial_errors)
 
     def test_determinism(self):
-        a = run_trial(small_config(), 4)
-        b = run_trial(small_config(), 4)
+        a = small_config().trial(4)[2]
+        b = small_config().trial(4)[2]
         assert a == b
-        c = run_trial(small_config(), 5)
+        c = small_config().trial(5)[2]
         assert a != c
 
 
 class TestSeeding:
     def test_seed_excludes_region_p_r(self):
-        f1, _, _ = run_trial_field(small_config(p=0.1, r=0.03), 2)
-        f2, _, _ = run_trial_field(small_config(p=0.35, r=0.09, region=region_xl()), 2)
+        f1, _, _ = small_config(p=0.1, r=0.03).trial(2)
+        f2, _, _ = small_config(p=0.35, r=0.09, region=region_xl()).trial(2)
         assert np.array_equal(f1.x, f2.x) and np.array_equal(f1.y, f2.y)
 
     def test_seed_depends_on_lam_trial_master(self):
@@ -97,12 +112,16 @@ class TestSeeding:
         assert trial_seed(0, 800.0, 3) == trial_seed(0, 800.0, 3)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            small_config(p=0.7)
-        with pytest.raises(ValueError):
-            small_config(r=0.0)
-        with pytest.raises(ValueError):
-            small_config(trials=0)
+        def check(lam=800.0, p=0.2, r=0.05, trials=1):
+            harness.check_inputs((r,), (p,), (lam,), (region_xs(),), seed=7, trials=trials)
+
+        check()
+        with pytest.raises(harness.GridError):
+            check(p=0.7)
+        with pytest.raises(harness.GridError):
+            check(r=0.0)
+        with pytest.raises(harness.GridError):
+            check(trials=0)
 
 
 class TestSweep:
@@ -267,9 +286,8 @@ def test_thin_rectangle_band_errors_concentrate():
     # the central strip of the thin rectangle alone predicts ~lam*r^2 band
     # errors; half that threshold should be beaten in (almost) every trial
     lam, r, trials = 20000.0, 0.05, 40
-    cfg = SimConfig(lam=lam, p=0.25, r=r, region=build_thin_rectangle(r),
-                    seed=3, trials=trials)
-    in_zr = np.array([run_trial(cfg, t).errors_in_zr for t in range(trials)])
+    cfg = Cell(lam=lam, p=0.25, r=r, region=build_thin_rectangle(r), seed=3, trials=trials)
+    in_zr = np.array([cfg.trial(t)[2].errors_in_zr for t in range(trials)])
     assert np.mean(in_zr >= 0.5 * lam * r * r) >= 0.95
 
 

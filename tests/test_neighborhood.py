@@ -10,12 +10,17 @@ from scipy.spatial import cKDTree
 
 from boundaryvote import neighborhood
 from boundaryvote.geometry import build_comb, region_xl, region_xs
-from boundaryvote.harness import SimConfig, _field_unit, run_trial, run_trial_field, trial_seed
+from boundaryvote.harness import _cells, _field_unit, trial_seed
 from boundaryvote.neighborhood import (_key_type, _lanes, _Listing, _reach, _row_starts,
                                        _sorted_pairs, build_index, build_indexes,
                                        neighbors_within)
 from boundaryvote.sampling import SensorField, assign_measurements, sample_field
 from boundaryvote.vote import SINGLE_ROUND, multi_round_mode
+
+
+def lone_trial(lam, p, r, region, seed, mode=SINGLE_ROUND):
+    """(field, outcome, metrics) of trial 0 of one cell, as the one-cell commands run it."""
+    return next(_cells(seed, lam, 0, (region,), (p,), (r,), mode))
 
 
 def brute_force_neighbors(field, r):
@@ -713,9 +718,8 @@ class TestOneSort:
         assert calls == {"sorts": 1, "row_starts": 1}  # B and every U share the row pointers
 
     def test_lone_multi_round_index(self, calls):
-        config = SimConfig(lam=1500.0, p=0.3, r=0.05, region=region_xs(),
-                           mode=multi_round_mode(0.5), seed=3)
-        assert run_trial_field(config)[1].rounds_executed == 3
+        outcome = lone_trial(1500.0, 0.3, 0.05, region_xs(), seed=3, mode=multi_round_mode(0.5))[1]
+        assert outcome.rounds_executed == 3
         assert calls == {"sorts": 1, "row_starts": 1}
 
 
@@ -744,6 +748,5 @@ class TestTallyCount:
         assert len(tallies) == 1 + math.ceil(14 / q) < 15  # 2 regions x 7 p values
 
     def test_lone_comb_trial(self, tallies):
-        config = SimConfig(lam=4000.0, p=0.25, r=0.05, region=build_comb(0.05, 0.4), seed=3)
-        run_trial(config)
+        lone_trial(4000.0, 0.25, 0.05, build_comb(0.05, 0.4), seed=3)
         assert len(tallies) == 2  # the counts, then the measurement vector

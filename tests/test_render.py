@@ -3,9 +3,15 @@ import numpy as np
 import pytest
 
 from boundaryvote.geometry import region_xs
-from boundaryvote.harness import SimConfig, run_trial_field
+from boundaryvote.harness import _cells
 from boundaryvote.render import GLYPH_CLASSES, classify_outcomes, render_field
 from boundaryvote.sampling import SensorField, assign_measurements
+from boundaryvote.vote import SINGLE_ROUND
+
+
+def xs_trial(lam, p, seed):
+    """(field, outcome, metrics) of trial 0 of the X_S cell at r = 0.05."""
+    return next(_cells(seed, lam, 0, (region_xs(),), (p,), (0.05,), SINGLE_ROUND))
 
 
 def glyph_count(svg: str, cls: str) -> int:
@@ -17,10 +23,9 @@ def glyph_count(svg: str, cls: str) -> int:
 
 class TestRender:
     def test_classes_and_counts_match_metrics(self, tmp_path):
-        cfg = SimConfig(lam=600.0, p=0.15, r=0.05, region=region_xs(), seed=1)
-        field, outcome, m = run_trial_field(cfg, 0)
+        field, outcome, m = xs_trial(600.0, 0.15, seed=1)
         out = tmp_path / "trial.svg"
-        svg = render_field(field, outcome, cfg.region, out)
+        svg = render_field(field, outcome, region_xs(), out)
         assert out.read_text() == svg
         assert svg.startswith("<svg") or svg.startswith("<?xml") or "<svg" in svg
         assert glyph_count(svg, "corrected") == m.corrected
@@ -30,16 +35,14 @@ class TestRender:
         assert "<polygon" in svg and "legend" in svg
 
     def test_all_four_classes_present_in_fig1_regime(self):
-        cfg = SimConfig(lam=600.0, p=0.15, r=0.05, region=region_xs(), seed=2)
-        field, outcome, _ = run_trial_field(cfg, 0)
-        svg = render_field(field, outcome, cfg.region)
+        field, outcome, _ = xs_trial(600.0, 0.15, seed=2)
+        svg = render_field(field, outcome, region_xs())
         for cls in GLYPH_CLASSES:
             assert glyph_count(svg, cls) > 0
 
     def test_p_zero_only_correct_and_new(self):
-        cfg = SimConfig(lam=600.0, p=0.0, r=0.05, region=region_xs(), seed=3)
-        field, outcome, m = run_trial_field(cfg, 0)
-        svg = render_field(field, outcome, cfg.region)
+        field, outcome, m = xs_trial(600.0, 0.0, seed=3)
+        svg = render_field(field, outcome, region_xs())
         assert glyph_count(svg, "corrected") == 0
         assert glyph_count(svg, "still-wrong") == 0
         assert glyph_count(svg, "new-wrong") == m.new_errors
@@ -68,8 +71,7 @@ class TestRender:
             render_field(field, _Out(), region_xs())
 
     def test_outcome_masks_partition(self):
-        cfg = SimConfig(lam=500.0, p=0.2, r=0.05, region=region_xs(), seed=5)
-        field, outcome, _ = run_trial_field(cfg, 0)
+        field, outcome, _ = xs_trial(500.0, 0.2, seed=5)
         masks = classify_outcomes(field.truth, field.measured, outcome.decided)
         total = sum(int(m.sum()) for m in masks)
         assert total == field.n
