@@ -63,7 +63,9 @@ def thm1_bounds(lam: float, p: float, r: float, area_outside: float) -> tuple[fl
     nu = lam * math.pi * r * r  # expected neighbor count
     decay = math.exp(-(1.0 - 2.0 * s) * nu)
     upper = 2.0 * lam * s * decay * area_outside
-    lower = s / (4.0 * math.pi * r * r) * (decay - math.exp(-nu)) * area_outside
+    # decay - exp(-nu) = decay * (1 - exp(-2 s nu)): keeps its digits where nu is small,
+    # and cannot overflow where nu is large
+    lower = s / (4.0 * math.pi * r * r) * decay * -math.expm1(-2.0 * s * nu) * area_outside
     return lower, upper
 
 

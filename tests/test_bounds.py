@@ -110,6 +110,12 @@ class TestThm1:
     def test_p_zero(self):
         assert thm1_bounds(1000, 0.0, 0.05, 1.0) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("r", [1e-9, 1e-8])
+    def test_lower_where_the_neighbor_count_is_small(self, r):
+        # as nu = lam*pi*r^2 goes to 0 the lower bound tends to lam * p(1-p) / 2 per unit area
+        lower, _ = thm1_bounds(100, 0.1, r, 1.0)
+        assert lower == pytest.approx(4.5, rel=1e-9)
+
     def test_lower_below_upper_on_grid(self):
         rng = np.random.default_rng(23)
         for _ in range(1000):
