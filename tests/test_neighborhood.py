@@ -718,7 +718,8 @@ class TestOneSort:
         assert calls == {"sorts": 1, "row_starts": 1}  # B and every U share the row pointers
 
     def test_lone_multi_round_index(self, calls):
-        outcome = lone_trial(1500.0, 0.3, 0.05, region_xs(), seed=3, mode=multi_round_mode(0.5))[1]
+        _, outcome, _ = lone_trial(1500.0, 0.3, 0.05, region_xs(), seed=3,
+                                   mode=multi_round_mode(0.5))
         assert outcome.rounds_executed == 3
         assert calls == {"sorts": 1, "row_starts": 1}
 
