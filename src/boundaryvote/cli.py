@@ -67,7 +67,7 @@ def _get(cfg: dict, key: str, flag_value, default, cast):
 
 
 def build_region(cfg: dict, args):
-    rtype = _get(cfg, "region.type", getattr(args, "region_type", None), "xs", str).lower()
+    rtype = _get(cfg, "region.type", args.region_type, "xs", str).lower()
     if rtype in NAMED_REGIONS:
         return NAMED_REGIONS[rtype]()
     try:
@@ -115,24 +115,12 @@ def _one_cell(args) -> tuple:
     return seed, lam, region, p, r, mode, trials
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--lambda", dest="lam", type=float, help="Poisson intensity")
-    parser.add_argument("--p", type=float, help="measurement error probability")
-    parser.add_argument("--r", type=float, help="neighborhood radius")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--trials", type=int, help="trials per cell")
-    parser.add_argument("--mode", choices=("single", "multi"), help="vote mode")
-    parser.add_argument("--c", type=float, help="multi-round constant c")
-    parser.add_argument("--region-type",
-                        choices=("xs", "xl", "rounded_rect", "thin_rect", "comb"))
-    parser.add_argument("--region-cx", type=float)
-    parser.add_argument("--region-cy", type=float)
-    parser.add_argument("--region-width", type=float)
-    parser.add_argument("--region-height", type=float)
-    parser.add_argument("--region-corner-radius", type=float)
-    parser.add_argument("--region-r", type=float)
-    parser.add_argument("--region-ell", type=float)
+def _group(*options) -> argparse.ArgumentParser:
+    """A parent parser of shared options, each given as (flag, keyword arguments)."""
+    group = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    for flag, kwargs in options:
+        group.add_argument(flag, **kwargs)
+    return group
 
 
 def _floats(text: str) -> tuple:
@@ -254,19 +242,36 @@ def cmd_render(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """The CLI; each command takes only the option groups that it reads, unabbreviated."""
+    config = _group(("--config", dict(help="flat key=value config file")))
+    lam_p = _group(("--lambda", dict(dest="lam", type=float, help="Poisson intensity")),
+                   ("--p", dict(type=float, help="measurement error probability")))
+    radius = _group(("--r", dict(type=float, help="neighborhood radius")))
+    seeding = _group(("--seed", dict(type=int, help="master seed")),
+                     ("--trials", dict(type=int, help="trials per cell")))
+    voting = _group(("--mode", dict(choices=("single", "multi"), help="vote mode")),
+                    ("--c", dict(type=float, help="multi-round constant c")))
+    region = _group(("--region-type", dict(choices=("xs", "xl", "rounded_rect", "thin_rect",
+                                                    "comb"))),
+                    *((f"--region-{name}", dict(type=float)) for name in (
+                        "cx", "cy", "width", "height", "corner-radius", "r", "ell")))
+    one_cell = [config, lam_p, radius, seeding, voting, region]
+
     parser = argparse.ArgumentParser(
-        prog="boundaryvote",
+        prog="boundaryvote", allow_abbrev=False,
         description="Majority-vote event boundary detection: simulation and bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run one configuration, print metrics")
-    _add_common(p_sim)
-    p_sim.add_argument("--dump-field", help="write trial-0 field CSV here")
-    p_sim.set_defaults(func=cmd_simulate)
+    def command(name, func, parents, help):
+        cmd = sub.add_parser(name, parents=parents, allow_abbrev=False, help=help)
+        cmd.set_defaults(func=func)
+        return cmd
 
-    p_sweep = sub.add_parser("sweep", help="grid sweep to CSV")
-    _add_common(p_sweep)
+    p_sim = command("simulate", cmd_simulate, one_cell, "run one configuration, print metrics")
+    p_sim.add_argument("--dump-field", help="write trial-0 field CSV here")
+
+    p_sweep = command("sweep", cmd_sweep, [config, seeding, voting], "grid sweep to CSV")
     p_sweep.add_argument("--r-values", help="comma list (default: paper grid)")
     p_sweep.add_argument("--p-values", help="comma list (default: paper grid)")
     p_sweep.add_argument("--lambda-values", help="comma list (default: paper grid)")
@@ -275,32 +280,22 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", help="output CSV path (default stdout)")
     p_sweep.add_argument("--best-radius", action="store_true",
                          help="also print the best radius per p to stderr")
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_bounds = sub.add_parser("bounds", help="bound table to CSV")
-    _add_common(p_bounds)
+    p_bounds = command("bounds", cmd_bounds, [config, radius, region], "bound table to CSV")
     p_bounds.add_argument("--r-values")
     p_bounds.add_argument("--p-values")
     p_bounds.add_argument("--lambda-values")
     p_bounds.add_argument("--out")
-    p_bounds.set_defaults(func=cmd_bounds)
 
-    p_worst = sub.add_parser("worstcase", help="thin-rectangle / comb experiments")
+    p_worst = command("worstcase", cmd_worstcase, [lam_p, radius, seeding],
+                      "thin-rectangle / comb experiments")
     p_worst.add_argument("--shape", choices=("thin", "comb"), required=True)
-    p_worst.add_argument("--lambda", dest="lam", type=float)
-    p_worst.add_argument("--p", type=float)
-    p_worst.add_argument("--r", type=float)
     p_worst.add_argument("--ell", type=float)
-    p_worst.add_argument("--trials", type=int)
-    p_worst.add_argument("--seed", type=int)
     p_worst.add_argument("--out")
-    p_worst.set_defaults(func=cmd_worstcase)
 
-    p_render = sub.add_parser("render", help="render one trial as SVG")
-    _add_common(p_render)
+    p_render = command("render", cmd_render, one_cell, "render one trial as SVG")
     p_render.add_argument("--trial", type=int, default=0)
     p_render.add_argument("--out", required=True)
-    p_render.set_defaults(func=cmd_render)
 
     return parser
 

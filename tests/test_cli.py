@@ -1,4 +1,5 @@
 """CLI tests: config parsing, flag precedence, exit codes, output formats."""
+import argparse
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import boundaryvote
 from boundaryvote import harness
-from boundaryvote.cli import main
+from boundaryvote.cli import main, make_parser
 from boundaryvote.harness import CSV_COLUMNS
 
 
@@ -145,7 +146,8 @@ class TestExitCodes:
             raise AssertionError("sampled a field before checking the bounds")
 
         monkeypatch.setattr(harness, "sample_field", no_sampling)
-        assert main([command, "--r-values", "0.05,0.9,2.0", "--trials", "1"]) == 2
+        trials = ["--trials", "1"] if command == "sweep" else []
+        assert main([command, "--r-values", "0.05,0.9,2.0", *trials]) == 2
         err = capsys.readouterr().err
         assert "config error: Z_r of region XS at r=0.9 covers Y\n" in err
 
@@ -198,21 +200,24 @@ class TestSweepCommand:
         second = capsys.readouterr().out
         assert first == second
 
-    @pytest.mark.parametrize("command, ignored", [
-        (["sweep"], ["--region-type", "comb", "--r", "0.2"]),
+    @pytest.mark.parametrize("command, unread", [
+        (["sweep"], ["--region-type", "comb", "--r", "0.2", "--p", "0.3", "--lambda", "600"]),
         (["bounds", "--region-type", "xl"],
-         ["--p", "0.9", "--trials", "0", "--lambda", "0", "--seed", "-1", "--r", "-1",
-          "--mode", "multi", "--c", "-1"]),
+         ["--p", "0.9", "--trials", "0", "--lambda", "0", "--seed", "-1", "--mode", "multi",
+          "--c", "-1"]),
     ], ids=["sweep", "bounds"])
-    def test_ignores_single_configuration_options(self, command, ignored, capsys):
+    def test_rejects_options_it_does_not_read(self, command, unread, monkeypatch, capsys):
+        # with abbreviations on, sweep would read --p and --lambda as --p-values and --lambda-values
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a field for an unknown option")
+
+        monkeypatch.setattr(harness, "sample_field", no_sampling)
         args = command + ["--lambda-values", "100", "--r-values", "0.05", "--p-values", "0.1"]
-        assert main(args) == 0
-        plain = capsys.readouterr().out
-        for option, value in zip(ignored[::2], ignored[1::2]):  # each alone, then all
-            assert main(args + [option, value]) == 0, option
-            assert capsys.readouterr().out == plain
-        assert main(args + ignored) == 0
-        assert capsys.readouterr().out == plain
+        for option, value in zip(unread[::2], unread[1::2]):
+            with pytest.raises(SystemExit) as exc:
+                main(args + [option, value])
+            assert exc.value.code == 2, option
+            assert f"unrecognized arguments: {option} {value}\n" in capsys.readouterr().err
 
     def test_best_radius_flag(self, capsys):
         rc = main(["sweep", "--lambda-values", "2000", "--p-values", "0.15",
@@ -221,6 +226,42 @@ class TestSweepCommand:
         assert rc == 0
         err = capsys.readouterr().err
         assert "best_radius p=0.15" in err
+
+
+ONE_CELL = ["--config", "--lambda", "--p", "--r", "--seed", "--trials", "--mode", "--c",
+            "--region-type", "--region-cx", "--region-cy", "--region-width", "--region-height",
+            "--region-corner-radius", "--region-r", "--region-ell"]
+
+
+class TestOptions:
+    def test_each_command_takes_the_options_it_reads(self):
+        commands = next(action.choices for action in make_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        options = {name: [flag for action in cmd._actions for flag in action.option_strings
+                          if flag not in ("-h", "--help")]
+                   for name, cmd in commands.items()}
+        grids = ["--r-values", "--p-values", "--lambda-values"]
+        assert options == {
+            "simulate": ONE_CELL + ["--dump-field"],
+            "sweep": ["--config", "--seed", "--trials", "--mode", "--c", *grids, "--regions",
+                      "--workers", "--out", "--best-radius"],
+            "bounds": ["--config", "--r", *ONE_CELL[8:], *grids, "--out"],
+            "worstcase": ["--lambda", "--p", "--r", "--seed", "--trials", "--shape", "--ell",
+                          "--out"],
+            "render": ONE_CELL + ["--trial", "--out"],
+        }
+        assert sum(map(len, options.values())) == 69
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--lambda-values", "100", "--r-values", "0.05", "--p-values", "0.1",
+         "--trials", "1", "--work", "1"],
+        ["simulate", "--trials", "1", "--region-t", "xl"],
+    ], ids=["sweep", "simulate"])
+    def test_no_option_is_abbreviated(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}\n" in capsys.readouterr().err
 
 
 class TestPaperGrids:
