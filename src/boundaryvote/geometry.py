@@ -566,16 +566,20 @@ def classify_good_bad(region, pt, r: float) -> SensorClass:
 
     Traversing bd(X) counterclockwise, the boundary enters the radius-r disk A
     around the point exactly once (rolling-ball property). The point is good
-    iff the antipode of that entry point lies on the same side of bd(X).
+    iff the antipode of that entry point lies on the same side of bd(X). Z_r
+    is closed, as in zone_of: where bd(X) only touches A, no entry is found,
+    A lies on the point's side and the point is good.
     """
     if not getattr(region, "convex", False) or region.min_curvature_radius < r:
         raise ValueError("classification requires a convex region with curvature radius >= r")
     px, py = _xy(pt)
     d = float(region.signed_distance(px, py))
-    if abs(d) >= r:
+    if abs(d) > r:
         return SensorClass.NOT_IN_ZR
     path = region.boundary
     entries = path.entries(px, py, r)
+    if entries.size == 0:
+        return SensorClass.GOOD
     if entries.size != 1:
         raise ArithmeticError(f"bd(X) enters the disk {entries.size} times, not once")
     ex, ey = path.points_at(entries)

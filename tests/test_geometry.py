@@ -328,6 +328,15 @@ class TestClassifyGoodBad:
         assert classify_good_bad(region_xs(), (0.5, 0.5), 0.05) is SensorClass.NOT_IN_ZR
         assert classify_good_bad(region_xs(), (0.05, 0.05), 0.05) is SensorClass.NOT_IN_ZR
 
+    @pytest.mark.parametrize("pt, r", [((0.5, 0.2375), 0.0625), ((0.5, 0.3625), 0.0625),
+                                       ((0.5, 0.75), 0.05)])
+    def test_band_edge_counts_as_inside(self, pt, r):
+        # |d| == r at the first two; at the third |d| rounds to 0.04999999999999999 and the
+        # disk only touches bd(X), so no entry is found; zone_of puts all three in Z_r
+        xs = region_xs()
+        assert zone_of(xs, pt, r) in (ZoneLabel.IN_ZR_IN_X, ZoneLabel.IN_ZR_OUT_X)
+        assert classify_good_bad(xs, pt, r) is SensorClass.GOOD
+
     def test_outer_band_points_are_good(self):
         xs = region_xs()
         rng = np.random.default_rng(13)
