@@ -202,6 +202,8 @@ def check_inputs(r_values, p_values, lam_values, regions, *, seed: int = 0, tria
     for lam in lam_values:
         if not lam > 0:
             raise GridError(f"lambda={lam} must be positive")
+        if not math.isfinite(lam):
+            raise GridError(f"lambda={lam} must be finite")
     for p in p_values:
         if not 0.0 <= p <= 0.5:
             raise GridError(f"p={p} must lie in [0, 1/2]")

@@ -28,8 +28,8 @@ class VoteMode:
     def __post_init__(self):
         if self.kind not in ("single", "multi"):
             raise ValueError("vote mode must be 'single' or 'multi'")
-        if self.kind == "multi" and self.c <= 0:
-            raise ValueError("multi-round constant c must be positive")
+        if self.kind == "multi" and not 0 < self.c < math.inf:
+            raise ValueError("multi-round constant c must be positive and finite")
 
 
 SINGLE_ROUND = VoteMode("single")

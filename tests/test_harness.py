@@ -188,6 +188,8 @@ class TestSweep:
         (((0.05,), (-0.1,), (500.0,)), r"p=-0.1 must lie in \[0, 1/2\]"),
         (((0.0, 0.05), (0.1,), (500.0,)), "r=0.0 must be positive"),
         (((0.05, 0.9), (0.1,), (500.0,)), "Z_r of region XS at r=0.9 covers Y"),
+        (((0.05,), (0.1,), (math.nan,)), "lambda=nan must be positive"),
+        (((0.05,), (0.1,), (2500.0, math.inf)), "lambda=inf must be finite"),
     ])
     def test_bad_grid_rejected_before_sampling(self, monkeypatch, grid, message):
         def no_sampling(*args, **kwargs):

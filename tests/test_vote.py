@@ -1,4 +1,6 @@
 """Vote scheme tests: majority semantics, round counts, score propagation."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,5 +234,6 @@ class TestVoteMode:
     def test_validation(self):
         with pytest.raises(ValueError):
             VoteMode("other")
-        with pytest.raises(ValueError):
-            VoteMode("multi", c=0.0)
+        for c in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                VoteMode("multi", c=c)
