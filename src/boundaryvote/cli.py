@@ -33,6 +33,11 @@ PAPER_LAM_GRID = (2500.0, 5000.0, 10000.0, 20000.0)
 
 NAMED_REGIONS = {"xs": region_xs, "xl": region_xl}
 
+# the keys that some command reads; one file serves several commands, each reading its own
+CONFIG_KEYS = ("lambda", "p", "r", "seed", "trials", "mode", "c", "region.type", "region.cx",
+               "region.cy", "region.width", "region.height", "region.corner_radius",
+               "region.r", "region.ell")
+
 
 def parse_config_file(path: str) -> dict:
     values = {}
@@ -44,8 +49,10 @@ def parse_config_file(path: str) -> dict:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in line.partition("="))
+                if key not in CONFIG_KEYS:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                values[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values

@@ -79,6 +79,21 @@ class TestExitCodes:
         path.write_text("lambda 600\n")
         assert main(["simulate", "--config", str(path)]) == 2
 
+    def test_unknown_config_key_returns_2(self, tmp_path, capsys):
+        path = tmp_path / "typo.cfg"
+        path.write_text("lambda = 200\ntrails = 50\n")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {path}:2: unknown key 'trails'\n"
+
+    def test_keys_another_command_reads_are_allowed(self, capsys):
+        # fig1.cfg carries lambda and p, which sweep does not read
+        fig1 = str(Path(__file__).resolve().parents[1] / "configs" / "fig1.cfg")
+        assert main(["simulate", "--config", fig1]) == 0
+        assert "region=rounded_rect_0.5_0.5_0.4x0.4_rho0.1 lambda=600" in capsys.readouterr().out
+        assert main(["sweep", "--config", fig1, "--lambda-values", "100", "--p-values", "0.1",
+                     "--r-values", "0.05", "--regions", "xs"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("XS,100,0.1,0.05,single,1,")
+
     def test_missing_config_returns_2(self, capsys):
         assert main(["simulate", "--config", "/nonexistent/x.cfg"]) == 2
 
