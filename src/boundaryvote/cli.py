@@ -270,8 +270,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, parents, help):
-        cmd = sub.add_parser(name, parents=parents, allow_abbrev=False, help=help)
+    def command(name, func, parents, summary):
+        cmd = sub.add_parser(name, parents=parents, allow_abbrev=False, help=summary)
         cmd.set_defaults(func=func)
         return cmd
 
