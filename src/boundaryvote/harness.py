@@ -94,11 +94,14 @@ def compute_metrics(truth, measured, decided, signed_dist, r: float) -> TrialMet
 
 
 def _cells(master_seed, lam, trial, regions, p_values, r_values, mode):
-    """(field, outcome, metrics) of one sampled field's every (region, p, r) cell, in grid order.
+    """(field, outcome, metrics) of one sampled field's every (region, p, r) cell, radius-major.
 
     The cells share the field and one pair listing at the largest radius,
-    with a view at each radius. The listing is handed every (region, p)
-    measurement vector first, so that it tallies them several to a word.
+    with a view at each radius. They run radius by radius, over the distinct
+    radii in the order given, and at each radius over the (region, p) cells
+    in grid order, so the listing holds one radius's U at a time. The listing
+    is handed every (region, p) measurement vector first, so that it tallies
+    them several to a word.
     """
     seed = trial_seed(master_seed, lam, trial)
     field = sample_field(lam, seed)
@@ -107,8 +110,8 @@ def _cells(master_seed, lam, trial, regions, p_values, r_values, mode):
     fields = [measured for region in regions
               for measured in assign_measurements_at(field, region, p_values, seed)]
     indexes[0].share_tallies(measured.measured for measured in fields)
-    for measured in fields:
-        for index in indexes:
+    for index in dict.fromkeys(indexes):  # equal radii share a view, run once
+        for measured in fields:
             outcome = run_vote(measured, index, mode)
             yield measured, outcome, compute_metrics(
                 measured.truth, measured.measured, outcome.decided,
@@ -177,7 +180,9 @@ def _field_unit(master_seed, lam, trial, regions, p_values, r_values, mode):
     """All metrics of one sampled field, shaped (regions, p values, r values, metrics)."""
     cells = _cells(master_seed, lam, trial, regions, p_values, r_values, mode)
     out = np.array([[getattr(m, f) for f in METRIC_FIELDS] for _, _, m in cells], dtype=float)
-    return out.reshape(len(regions), len(p_values), len(r_values), len(METRIC_FIELDS))
+    radii = list(dict.fromkeys(float(r) for r in r_values))  # the distinct radii _cells runs
+    out = out.reshape(len(radii), len(regions), len(p_values), len(METRIC_FIELDS))
+    return out.transpose(1, 2, 0, 3)[:, :, [radii.index(float(r)) for r in r_values]]
 
 
 class GridError(ValueError):

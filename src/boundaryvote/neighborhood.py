@@ -42,6 +42,9 @@ Ascending listing positions `keep` give one part of the listing in CSR form.
 Its column indices are j.take(keep), and its row pointers are
 searchsorted(keep, starts): the number of kept pairs before each row's start.
 B's blocks and every smaller view's U are such parts. No view gathers its i.
+Positions are int32 while the listing has fewer than 2**31 pairs, and they
+are found and gathered a chunk at a time, so no listing-sized int64 array is
+made.
 
 The listing answers `count_sums` and `counts` for all of its radii from one
 prefix tally. B is the (R*n, R*n) block-diagonal upper adjacency whose block
@@ -52,10 +55,9 @@ x a vector tiled R times, row k*n + i of B @ x + B.T @ x sums x over the
 neighbors of i in bin k. The cumulative sum over the radius axis of that
 (R, n) result is every radius's sums. `counts` is the tally of the all-ones
 vector. The listing, its bins, B and the counts are built with the listing;
-only U's ones, each view's U and the tally word wait for their first use.
-A lone radius is the case R = 1:
-every pair is in bin 0, so B is the listing itself, with U's column indices
-and row pointers and int32 entries, and no pair is binned.
+only U and the tally words wait for their first use. A lone radius is the
+case R = 1: every pair is in bin 0, so B is the listing itself, with U's
+column indices and row pointers and int32 entries, and no pair is binned.
 
 A tally word carries several 0/1 vectors at once. Every neighbor count at
 every radius is at most M, the widest radius's largest count, so a 0/1
@@ -66,9 +68,13 @@ because every partial sum of a lane is nonnegative and at most the lane's
 final count, which is at most M < 2**w; so (row >> w*l) & (2**w - 1) is
 vector l's exact sums. The vectors handed to `share_tallies` are packed q at
 a time, in the order given, and any other vector is a one-lane word. The
-listing keeps one word's (R, n) tally, with copies of the vectors in its
-lanes: a vector is answered from it only when it equals one of them, so a
-vector changed in place is never answered from a stale tally.
+listing keeps the (R, n) tally of every word of shared vectors from its
+first use until `share_tallies` is called again, so each word is tallied
+once whatever order the views ask in; for V shared vectors that costs
+ceil(V/q)*R*n*4 bytes. It keeps one unshared vector's tally, the last one
+asked for. A vector is answered from a word only when it equals one of the
+copies in its lanes, so a vector changed in place is never answered from a
+stale tally.
 
 Multi-round voting sums real scores with two sparse matrix-vector products,
 `weighted_sums(v) = U @ v + U.T @ v`. U is the upper adjacency in CSR form:
@@ -78,9 +84,10 @@ Row i of U @ v adds v[j] over j ascending, and the CSC product adds v[i]
 into row j over i ascending: the order in which two weighted `bincount`s
 over the listing add them, so the sums are the same bit for bit. One
 symmetric matrix U + U.T would interleave the two halves of each row and
-round differently, which can flip a tie at an exact-zero score. Every U of
-a listing shares one float64 array of ones, sized for the widest radius, as
-its `data`.
+round differently, which can flip a tie at an exact-zero score. The listing
+holds one U, the last one asked for, and drops it before it builds another,
+so one U is alive at a time and a caller that runs the views radius by
+radius builds each U once. Each U has its own float64 ones as its `data`.
 
 B.T and U.T are their matrix's three arrays read as CSC, so they copy
 nothing. The arrays are set after construction because scipy's format check
@@ -90,7 +97,6 @@ indices.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -188,6 +194,11 @@ def _lanes(most: int) -> tuple[int, int]:
     return w, max(31 // w, 1)
 
 
+def _index_type(most: int) -> type:
+    """int32 for indices and positions up to most while it is below 2**31, else int64."""
+    return np.int32 if most < 2**31 else np.int64
+
+
 def _csr_and_csc(data, indices, indptr) -> tuple[sparse.csr_array, sparse.csc_array]:
     """A square CSR matrix and its transpose as CSC, both over the same three arrays."""
     size = indptr.size - 1
@@ -204,13 +215,16 @@ class _Listing:
         self.positions = positions
         self.n = positions.shape[0]
         self.radii = radii  # sorted and unique: the last is the listing's own
-        self.shared: list[np.ndarray] = []  # copies of the vectors packed q at a time
-        self._word = None  # the current word as (lanes, w, tally)
         self.pairs = self._list()
+        self.itype = _index_type(self.pairs[0].size)  # of listing positions
         self.starts = _row_starts(self.pairs[0], self.n)  # shared by B and every U
         self.bins = self._bin() if len(radii) > 1 else None
         self.block = self._block()  # (B, B.T)
         self.counts = self.tally(np.ones(self.n, dtype=np.int32)).astype(np.int64)
+        self.w, self.q = _lanes(self.counts[-1].max(initial=0))
+        self._upper = None  # the one U held, as (k, U, U.T)
+        self._alone = None  # the last unshared vector's (copy, tally)
+        self.share([])
 
     def _list(self) -> tuple[np.ndarray, np.ndarray]:
         """All pairs (i, j) with i < j within the widest radius, in (i, j) order, as int32."""
@@ -264,16 +278,17 @@ class _Listing:
         if radii == 1:  # one bin: B is the listing itself
             columns, indptr = j, starts
         else:
-            itype = np.int32 if radii * n < 2**31 else np.int64
             bins = self.bins
+            itype = _index_type(max(radii * n, bins.size))
             # the listing stably partitioned by bin: blocks[k] holds bin k's listing
             # positions, ascending, one piece per chunk, so the sort's buffer stays small
-            blocks = [[np.empty(0, dtype=np.intp)] for _ in range(radii)]
+            blocks = [[np.empty(0, dtype=self.itype)] for _ in range(radii)]
             for start in range(0, bins.size, _CHUNK):
                 chunk = bins[start:start + _CHUNK]
                 local = np.argsort(chunk, kind="stable")
                 cuts = np.searchsorted(chunk, np.arange(1, radii, dtype=bins.dtype), sorter=local)
-                for pieces, piece in zip(blocks, np.split(local + start, cuts)):
+                local += start
+                for pieces, piece in zip(blocks, np.split(local.astype(self.itype), cuts)):
                     pieces.append(piece)
             columns = np.empty(bins.size, dtype=itype)
             indptr = np.empty(radii * n + 1, dtype=itype)
@@ -287,20 +302,47 @@ class _Listing:
             del blocks, block, pointers  # freed before B's data is allocated
         return _csr_and_csc(np.ones(columns.size, dtype=np.int32), columns, indptr)
 
-    @cached_property
-    def unit(self) -> np.ndarray:
-        """The float64 ones that every U takes its data from."""
-        return np.ones(self.pairs[0].size)
-
     def keep(self, k: int) -> np.ndarray:
-        """Listing positions of the pairs of the k-th radius, ascending."""
-        # an index array, not a mask: boolean indexing is three times slower
-        # on bins that follow no order along the listing
-        return np.flatnonzero(self.bins <= k)
+        """Listing positions of the pairs of the k-th radius, ascending, as itype.
+
+        They fill an array sized by the radius's pair count a chunk at a time,
+        so no listing-sized temporary is made.
+        """
+        keep = np.empty(int(self.counts[k].sum()) // 2, dtype=self.itype)
+        filled = 0
+        for start in range(0, self.bins.size, _CHUNK):
+            # an index array, not a mask: boolean indexing is three times slower
+            # on bins that follow no order along the listing
+            at = np.flatnonzero(self.bins[start:start + _CHUNK] <= k)
+            at += start
+            keep[filled:filled + at.size] = at
+            filled += at.size
+        return keep
 
     def part(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR column indices and row pointers, both int32, of the pairs at positions keep."""
-        return self.pairs[1].take(keep), np.searchsorted(keep, self.starts).astype(np.int32)
+        columns = np.empty(keep.size, dtype=np.int32)
+        for start in range(0, keep.size, _CHUNK):  # take copies its indices to intp
+            columns[start:start + _CHUNK] = self.pairs[1].take(keep[start:start + _CHUNK])
+        return columns, np.searchsorted(keep, self.starts).astype(np.int32)
+
+    def upper(self, k: int) -> tuple[sparse.csr_array, sparse.csc_array]:
+        """(U, U.T) at the k-th radius: the one U held, built when another radius asks.
+
+        The old U is dropped before the new one is built, so one U is alive
+        at a time, and each U has its own float64 ones as its data.
+        """
+        if self._upper is None or self._upper[0] != k:
+            self._upper = None
+            # the ones before the part: in this order a lambda = 10000 multi
+            # sweep peaked about 8 MB lower in resident memory
+            ones = np.ones(int(self.counts[k].sum()) // 2)
+            if k == len(self.radii) - 1:  # the widest U is the listing itself
+                columns, indptr = self.pairs[1], self.starts
+            else:
+                columns, indptr = self.part(self.keep(k))
+            self._upper = (k, *_csr_and_csc(ones, columns, indptr))
+        return self._upper[1:]
 
     def tally(self, word: np.ndarray) -> np.ndarray:
         """(R, n) int32 sums of an int32 word over the neighbors at every radius."""
@@ -309,29 +351,36 @@ class _Listing:
         flat = upper @ x + lower @ x
         return np.cumsum(flat.reshape(len(self.radii), self.n), axis=0, dtype=np.int32)
 
-    def lane(self, v: np.ndarray) -> tuple[int, int, np.ndarray]:
-        """(lane, w, (R, n) tally) of a word that holds v.
+    def share(self, vectors) -> None:
+        """Keep copies of the vectors to pack q to a word, and forget every word's tally."""
+        self.shared = [np.array(v, dtype=bool) for v in vectors]
+        self._tallies = {}
 
-        The current word answers when one of its lanes equals v. Otherwise
-        the word is the q shared vectors whose group holds v, or v alone.
-        """
-        if self._word is not None:
-            lanes, w, tally = self._word
-            for lane, held in enumerate(lanes):
-                if np.array_equal(held, v):
-                    return lane, w, tally
-        w, q = _lanes(self.counts[-1].max(initial=0))
-        lanes, lane = [v.copy()], 0
-        for k, held in enumerate(self.shared):
-            if np.array_equal(held, v):
-                lanes, lane = self.shared[k - k % q:k - k % q + q], k % q
-                break
-        self._word = None  # one word's tally alive at a time
+    def _pack(self, lanes) -> np.ndarray:
+        """The (R, n) tally of one int32 word that holds the 0/1 vectors lanes, in order."""
         word = np.zeros(self.n, dtype=np.int32)
         for shift, held in enumerate(lanes):
-            word |= held.astype(np.int32) << (w * shift)
-        self._word = (lanes, w, self.tally(word))
-        return lane, w, self._word[2]
+            word |= held.astype(np.int32) << (self.w * shift)
+        return self.tally(word)
+
+    def lane(self, v: np.ndarray) -> tuple[int, np.ndarray]:
+        """(lane, (R, n) tally) of a word that holds v.
+
+        A shared vector is answered from its group's word, tallied at its
+        first use and kept. Any other vector is a one-lane word, kept until
+        another one is asked for.
+        """
+        q = self.q
+        for k, held in enumerate(self.shared):
+            if np.array_equal(held, v):
+                word = k // q
+                if word not in self._tallies:
+                    self._tallies[word] = self._pack(self.shared[word * q:word * q + q])
+                return k % q, self._tallies[word]
+        if self._alone is None or not np.array_equal(self._alone[0], v):
+            self._alone = None  # one unshared vector's tally alive at a time
+            self._alone = (v.copy(), self._pack([v]))
+        return 0, self._alone[1]
 
 
 class NeighborIndex:
@@ -341,7 +390,6 @@ class NeighborIndex:
         self._listing = listing
         self._k = k
         self.r = listing.radii[k]
-        self._adjacency: tuple[sparse.csr_array, sparse.csc_array] | None = None  # (U, U.T)
 
     @property
     def positions(self) -> np.ndarray:
@@ -385,7 +433,7 @@ class NeighborIndex:
         The listing keeps copies and tallies them q to a word, so the vectors
         of one word, at every radius, cost one pair of products.
         """
-        self._listing.shared = [np.array(v, dtype=bool) for v in vectors]
+        self._listing.share(vectors)
 
     def count_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-sensor number of neighbors whose boolean value is true (exact).
@@ -393,19 +441,13 @@ class NeighborIndex:
         Every view reads its own radius's row of the listing's prefix tally of
         a word that holds the vector, and the vector's lane of it.
         """
-        lane, w, tally = self._listing.lane(np.asarray(values, dtype=bool))
+        lane, tally = self._listing.lane(np.asarray(values, dtype=bool))
+        w = self._listing.w
         return ((tally[self._k] >> (w * lane)) & ((1 << w) - 1)).astype(np.int64)
 
     def weighted_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-sensor sums of a real-valued per-neighbor quantity, U @ v + U.T @ v."""
-        if self._adjacency is None:
-            listing = self._listing
-            if self.r < listing.radii[-1]:
-                columns, indptr = listing.part(listing.keep(self._k))
-            else:
-                columns, indptr = listing.pairs[1], listing.starts
-            self._adjacency = _csr_and_csc(listing.unit[:columns.size], columns, indptr)
-        upper, lower = self._adjacency
+        upper, lower = self._listing.upper(self._k)
         v = np.asarray(values, dtype=float)
         return upper @ v + lower @ v
 

@@ -96,8 +96,8 @@ def multi_round(field, index: NeighborIndex, t: int, keep_history: bool = False)
             sums = (2 * index.count_sums(measured) - k).astype(float)
         else:
             sums = index.weighted_sums(score)
-        score = np.where(has_neighbors, sums / safe_k, score)
-        decided = np.where(score > 0.0, True, np.where(score < 0.0, False, decided))
+        np.divide(sums, safe_k, out=score, where=has_neighbors)
+        np.copyto(decided, score > 0.0, where=score != 0.0)  # an exact zero keeps the decision
         if history is not None:
             history.append(score.copy())
     return VoteOutcome(decided=decided, rounds_executed=t, score_history=history)

@@ -139,6 +139,24 @@ class TestSweep:
                            seed=cfg.seed, trials=cfg.trials, mode=cfg.mode)
             assert_sweep_matches_run_trial(result, cfg)
 
+    @pytest.mark.parametrize("mode", [SINGLE_ROUND, multi_round_mode(0.5)],
+                             ids=["single", "multi"])
+    def test_grid_matches_lone_cells(self, mode):
+        # every (region, p, r) cell lands in its own row, a repeated radius too
+        regions, p_values, r_values = (region_xs(), region_xl()), (0.1, 0.3), (0.05, 0.02, 0.05)
+        result = sweep(r_values, p_values, (800.0,), regions, seed=7, trials=2, mode=mode)
+        rows = iter(result.rows)
+        for region in regions:
+            for p in p_values:
+                for r in r_values:
+                    row = next(rows)
+                    assert (row.region, row.p, row.r) == (region.name, p, r)
+                    cell = small_config(trials=2, p=p, r=r, region=region, mode=mode)
+                    trials = [cell.trial(t)[2] for t in range(cell.trials)]
+                    for name in METRIC_FIELDS:
+                        want = np.mean([getattr(m, name) for m in trials])
+                        assert getattr(row, name + "_mean") == pytest.approx(want, abs=1e-12)
+
     def test_row_order_and_count(self):
         cfg = small_config(trials=2)
         result = sweep((0.03, 0.05), (0.1, 0.2), (500.0, 800.0),

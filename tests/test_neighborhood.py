@@ -1,6 +1,7 @@
 """Neighbor index tests against the brute-force pairwise oracle."""
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -585,15 +586,16 @@ class TestWeightedSums:
                 sums = index.weighted_sums(values)
                 assert sums.dtype == np.float64
                 assert np.array_equal(sums, bincount_sums(field, index.r, values)), index.r
+                fresh = build_index(field, index.r)
+                k, upper, lower = index._listing._upper  # the U the listing holds now
+                assert k == index._k
+                for matrix in (upper, lower):  # U's arrays: a fresh listing's j and row starts
+                    assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+                    assert np.array_equal(matrix.indices, fresh.pairs[1])
+                    assert np.array_equal(matrix.indptr, np.searchsorted(fresh.pairs[0],
+                                                                         np.arange(field.n + 1)))
         for index in indexes:
-            fresh = build_index(field, index.r)
-            upper, lower = index._adjacency
-            for matrix in (upper, lower):  # U's arrays: a fresh listing's j and row starts
-                assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
-                assert np.array_equal(matrix.indices, fresh.pairs[1])
-                assert np.array_equal(matrix.indptr, np.searchsorted(fresh.pairs[0],
-                                                                     np.arange(field.n + 1)))
-            want = fresh.counts
+            want = build_index(field, index.r).counts
             assert np.array_equal(index.counts, want), index.r
             assert index.counts.dtype == want.dtype == np.int64
 
@@ -739,15 +741,47 @@ class TestTallyCount:
         monkeypatch.setattr(neighborhood._Listing, "tally", counted)
         return calls
 
-    def test_single_round_field_unit(self, tallies):
+    @staticmethod
+    def assert_field_unit(tallies, mode):
         field = sample_field(1500.0, trial_seed(3, 1500.0, 0))
         q = 31 // int(build_index(field, 0.1).counts.max()).bit_length()
         tallies.clear()
         p_values = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35)
-        _field_unit(3, 1500.0, 0, (region_xs(), region_xl()), p_values, (0.02, 0.05, 0.1),
-                    SINGLE_ROUND)
+        _field_unit(3, 1500.0, 0, (region_xs(), region_xl()), p_values, (0.02, 0.05, 0.1), mode)
         assert len(tallies) == 1 + math.ceil(14 / q) < 15  # 2 regions x 7 p values
+
+    def test_single_round_field_unit(self, tallies):
+        self.assert_field_unit(tallies, SINGLE_ROUND)
+
+    def test_multi_round_field_unit(self, tallies):
+        # round 1 of every cell reads the tally; radius by radius, each word is tallied once
+        self.assert_field_unit(tallies, multi_round_mode(0.5))
 
     def test_lone_comb_trial(self, tallies):
         lone_trial(4000.0, 0.25, 0.05, build_comb(0.05, 0.4), seed=3)
         assert len(tallies) == 2  # the counts, then the measurement vector
+
+
+class TestOneUpper:
+    """A multi-round field unit builds one U per distinct radius that runs a second round."""
+
+    def test_multi_round_field_unit(self, monkeypatch):
+        built = []  # per U: its pair count and weak references to its matrices and ones
+        make = neighborhood._csr_and_csc
+
+        def counted(data, indices, indptr):
+            pair = make(data, indices, indptr)
+            if data.dtype == np.float64:  # a U: B's entries are int32
+                assert all(ref() is None for _, refs in built for ref in refs), "two U alive"
+                built.append((data.size, [weakref.ref(held) for held in (*pair, data)]))
+            return pair
+
+        monkeypatch.setattr(neighborhood, "_csr_and_csc", counted)
+        # at c = 0.5, p = 0.3 runs 4 rounds at r = 0.04 and 8 at r = 0.02, and every
+        # cell at r = 0.2 runs one round, so it needs no U; r = 0.04 comes twice
+        r_values = (0.04, 0.2, 0.02, 0.04)
+        _field_unit(3, 1500.0, 0, (region_xs(), region_xl()), (0.05, 0.3), r_values,
+                    multi_round_mode(0.5))
+        field = sample_field(1500.0, trial_seed(3, 1500.0, 0))
+        want = [build_index(field, r).pairs[0].size for r in (0.04, 0.02)]
+        assert [size for size, _ in built] == want
