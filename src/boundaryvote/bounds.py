@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .geometry import convex_and_round
+
 
 def majority_tail_exact(n: int, p: float) -> float:
     """Probability of at least ceil(n/2) successes among n Bernoulli(p) trials.
@@ -140,7 +142,7 @@ def bound_report(region, lam: float, p: float, r: float, zr_area: float) -> Boun
     curvature radius >= r and p < 1/2. zr_area is the area of Z_r within Y.
     """
     peri, components = region.perimeter, region.components
-    applies = getattr(region, "convex", False) and region.min_curvature_radius >= r and p < 0.5
+    applies = convex_and_round(region, r) and p < 0.5
     thm3 = thm3_upper(lam, p, r, peri) if applies else math.nan
     return _report(lam, p, r, peri, components, zr_area, thm3)
 

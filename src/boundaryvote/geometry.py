@@ -561,6 +561,14 @@ def dubious_zone_area(region, r: float, mc_samples: int = 1_000_000, seed: int =
     return dubious_zone_areas(region, [r], mc_samples, seed)[0]
 
 
+def convex_and_round(region, r: float) -> bool:
+    """Theorem 3's geometric precondition: X is convex with curvature radius >= r.
+
+    Both the convex in-band bound and the good/bad classification need it.
+    """
+    return getattr(region, "convex", False) and region.min_curvature_radius >= r
+
+
 def classify_good_bad(region, pt, r: float) -> SensorClass:
     """Good/bad split for dubious-band sensors of a convex, round region.
 
@@ -570,7 +578,7 @@ def classify_good_bad(region, pt, r: float) -> SensorClass:
     is closed, as in zone_of: where bd(X) only touches A, no entry is found,
     A lies on the point's side and the point is good.
     """
-    if not getattr(region, "convex", False) or region.min_curvature_radius < r:
+    if not convex_and_round(region, r):
         raise ValueError("classification requires a convex region with curvature radius >= r")
     px, py = _xy(pt)
     d = float(region.signed_distance(px, py))

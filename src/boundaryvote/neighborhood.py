@@ -6,13 +6,17 @@ distance exactly r are neighbors. One expression computes it, for the
 listing and for its radius bins.
 
 A field has one listing, built for a fixed, sorted set of unique radii:
-its pairs (i, j), i < j, at the widest radius, as int32 ids. They are
-sorted once, on one packed unsigned key decoded by shifts and masks. With s
-the bit length of n - 1, the key is (i << s) | j. It is uint32 while
-2s <= 32 and uint64 beyond, and a key past 64 bits raises OverflowError.
-The listing's row pointers, where each sensor's pairs start, are computed
-once. A `NeighborIndex` is a view of the listing at its k-th radius;
-`build_indexes` builds the listing and returns one view per radius.
+its pairs i < j at the widest radius as one CSR matrix, the column ids j
+of each row i in ascending order and the row pointers, where each sensor's
+pairs start. The pairs are sorted once, on one packed unsigned key decoded
+by shifts and masks. With s the bit length of n - 1, the key is
+(i << s) | j. It is uint32 while 2s <= 32 and uint64 beyond, and a key past
+64 bits raises OverflowError. The decoded rows i give the row pointers and
+the radius bins, and are dropped before anything else is built. Every id,
+listing position and row pointer is int32, so a listing of 2**31 pairs, or
+R*n >= 2**31 for R radii, raises OverflowError. A `NeighborIndex` is a
+view of the listing at its k-th radius; `build_indexes` builds the listing
+and returns one view per radius.
 
 The listing is a fixed-radius sweep over sorted x-strips (Bentley, Stanat &
 Williams, IPL 6(6), 1977). Its reach is the float just above the largest t
@@ -39,12 +43,14 @@ A view of a smaller radius finds its listing positions from the bins, in
 (i, j) order, without any distance.
 
 Ascending listing positions `keep` give one part of the listing in CSR form.
-Its column indices are j.take(keep), and its row pointers are
+Its column indices are columns.take(keep), and its row pointers are
 searchsorted(keep, starts): the number of kept pairs before each row's start.
-B's blocks and every smaller view's U are such parts. No view gathers its i.
-Positions are int32 while the listing has fewer than 2**31 pairs, and they
-are found and gathered a chunk at a time, so no listing-sized int64 array is
-made.
+B's blocks are such parts. A view's CSR arrays come from one rule, `csr(k)`:
+the listing itself at the widest radius and the part at the radius's
+positions at any other. Its U is those arrays, and its pairs are their
+columns beside the rows repeated by the row pointers, so no view gathers
+its i. Positions are found and gathered a chunk at a time, since `take`
+copies int32 indices to int64, so no listing-sized int64 array is made.
 
 The listing answers `count_sums` and `counts` for all of its radii from one
 prefix tally. B is the (R*n, R*n) block-diagonal upper adjacency whose block
@@ -67,14 +73,13 @@ int32 products and the prefix sum add lanes without a carry crossing one,
 because every partial sum of a lane is nonnegative and at most the lane's
 final count, which is at most M < 2**w; so (row >> w*l) & (2**w - 1) is
 vector l's exact sums. The vectors handed to `share_tallies` are packed q at
-a time, in the order given, and any other vector is a one-lane word. The
-listing keeps the (R, n) tally of every word of shared vectors from its
-first use until `share_tallies` is called again, so each word is tallied
-once whatever order the views ask in; for V shared vectors that costs
-ceil(V/q)*R*n*4 bytes. It keeps one unshared vector's tally, the last one
-asked for. A vector is answered from a word only when it equals one of the
-copies in its lanes, so a vector changed in place is never answered from a
-stale tally.
+a time, in the order given, and a vector that was not handed over is shared
+alone, in place of those before it. The listing keeps the (R, n) tally of
+every word of shared vectors from its first use until vectors are shared
+again, so each word is tallied once whatever order the views ask in; for V
+shared vectors that costs ceil(V/q)*R*n*4 bytes. A vector is answered from
+a word only when it equals one of the copies in its lanes, so a vector
+changed in place is never answered from a stale tally.
 
 Multi-round voting sums real scores with two sparse matrix-vector products,
 `weighted_sums(v) = U @ v + U.T @ v`. U is the upper adjacency in CSR form:
@@ -188,15 +193,19 @@ def _row_starts(rows, n: int) -> np.ndarray:
     return np.searchsorted(rows, np.arange(n + 1, dtype=rows.dtype)).astype(rows.dtype)
 
 
+def _check_int32(most: int) -> None:
+    """Raise unless every id, listing position and row pointer up to most fits int32.
+
+    They would wrap, so a listing of 2**31 pairs, or of R*n >= 2**31 rows of B, raises.
+    """
+    if most >= 2**31:
+        raise OverflowError(f"{most} ids or pairs do not fit int32")
+
+
 def _lanes(most: int) -> tuple[int, int]:
     """(w, q): the bits of a lane that holds 0..most, and the lanes one int32 word holds."""
     w = max(int(most).bit_length(), 1)
     return w, max(31 // w, 1)
-
-
-def _index_type(most: int) -> type:
-    """int32 for indices and positions up to most while it is below 2**31, else int64."""
-    return np.int32 if most < 2**31 else np.int64
 
 
 def _csr_and_csc(data, indices, indptr) -> tuple[sparse.csr_array, sparse.csc_array]:
@@ -215,15 +224,15 @@ class _Listing:
         self.positions = positions
         self.n = positions.shape[0]
         self.radii = radii  # sorted and unique: the last is the listing's own
-        self.pairs = self._list()
-        self.itype = _index_type(self.pairs[0].size)  # of listing positions
-        self.starts = _row_starts(self.pairs[0], self.n)  # shared by B and every U
-        self.bins = self._bin() if len(radii) > 1 else None
+        i, self.columns = self._list()
+        _check_int32(max(i.size, len(radii) * self.n))
+        self.starts = _row_starts(i, self.n)  # shared by B and every U
+        self.bins = self._bin(i) if len(radii) > 1 else None
+        del i  # freed before B is built
         self.block = self._block()  # (B, B.T)
         self.counts = self.tally(np.ones(self.n, dtype=np.int32)).astype(np.int64)
         self.w, self.q = _lanes(self.counts[-1].max(initial=0))
         self._upper = None  # the one U held, as (k, U, U.T)
-        self._alone = None  # the last unshared vector's (copy, tally)
         self.share([])
 
     def _list(self) -> tuple[np.ndarray, np.ndarray]:
@@ -255,13 +264,13 @@ class _Listing:
         del keys  # freed before the sort
         return _sorted_pairs(key, s)
 
-    def _bin(self) -> np.ndarray:
-        """Each listed pair's count of the smaller radii that miss it.
+    def _bin(self, i: np.ndarray) -> np.ndarray:
+        """Each listed pair's count of the smaller radii that miss it, from its rows i.
 
         A pair listed at the widest radius stays in its bin, so the widest
         radius's own test is never repeated on the listing.
         """
-        i, j = self.pairs
+        j = self.columns
         points = self.positions.view(np.complex128).ravel()
         out = np.zeros(i.size, dtype=np.min_scalar_type(len(self.radii) - 1))
         for start in range(0, i.size, _CHUNK):
@@ -274,24 +283,22 @@ class _Listing:
     def _block(self) -> tuple[sparse.csr_array, sparse.csc_array]:
         """(B, B.T) over the listing's bins."""
         radii, n = len(self.radii), self.n
-        j, starts = self.pairs[1], self.starts
         if radii == 1:  # one bin: B is the listing itself
-            columns, indptr = j, starts
+            columns, indptr = self.columns, self.starts
         else:
             bins = self.bins
-            itype = _index_type(max(radii * n, bins.size))
             # the listing stably partitioned by bin: blocks[k] holds bin k's listing
             # positions, ascending, one piece per chunk, so the sort's buffer stays small
-            blocks = [[np.empty(0, dtype=self.itype)] for _ in range(radii)]
+            blocks = [[np.empty(0, dtype=np.int32)] for _ in range(radii)]
             for start in range(0, bins.size, _CHUNK):
                 chunk = bins[start:start + _CHUNK]
                 local = np.argsort(chunk, kind="stable")
                 cuts = np.searchsorted(chunk, np.arange(1, radii, dtype=bins.dtype), sorter=local)
                 local += start
-                for pieces, piece in zip(blocks, np.split(local.astype(self.itype), cuts)):
+                for pieces, piece in zip(blocks, np.split(local.astype(np.int32), cuts)):
                     pieces.append(piece)
-            columns = np.empty(bins.size, dtype=itype)
-            indptr = np.empty(radii * n + 1, dtype=itype)
+            columns = np.empty(bins.size, dtype=np.int32)
+            indptr = np.empty(radii * n + 1, dtype=np.int32)
             stop = 0
             for k, pieces in enumerate(blocks):  # block k: rows k*n + i, columns k*n + j
                 block, pointers = self.part(np.concatenate(pieces))
@@ -303,12 +310,12 @@ class _Listing:
         return _csr_and_csc(np.ones(columns.size, dtype=np.int32), columns, indptr)
 
     def keep(self, k: int) -> np.ndarray:
-        """Listing positions of the pairs of the k-th radius, ascending, as itype.
+        """Listing positions of the pairs of the k-th radius, ascending, as int32.
 
         They fill an array sized by the radius's pair count a chunk at a time,
         so no listing-sized temporary is made.
         """
-        keep = np.empty(int(self.counts[k].sum()) // 2, dtype=self.itype)
+        keep = np.empty(int(self.counts[k].sum()) // 2, dtype=np.int32)
         filled = 0
         for start in range(0, self.bins.size, _CHUNK):
             # an index array, not a mask: boolean indexing is three times slower
@@ -323,8 +330,18 @@ class _Listing:
         """CSR column indices and row pointers, both int32, of the pairs at positions keep."""
         columns = np.empty(keep.size, dtype=np.int32)
         for start in range(0, keep.size, _CHUNK):  # take copies its indices to intp
-            columns[start:start + _CHUNK] = self.pairs[1].take(keep[start:start + _CHUNK])
+            columns[start:start + _CHUNK] = self.columns.take(keep[start:start + _CHUNK])
         return columns, np.searchsorted(keep, self.starts).astype(np.int32)
+
+    def csr(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """U's column indices and row pointers at the k-th radius.
+
+        The widest radius's are the listing's own; any other's are the part
+        of the listing at its positions.
+        """
+        if k == len(self.radii) - 1:
+            return self.columns, self.starts
+        return self.part(self.keep(k))
 
     def upper(self, k: int) -> tuple[sparse.csr_array, sparse.csc_array]:
         """(U, U.T) at the k-th radius: the one U held, built when another radius asks.
@@ -337,11 +354,7 @@ class _Listing:
             # the ones before the part: in this order a lambda = 10000 multi
             # sweep peaked about 8 MB lower in resident memory
             ones = np.ones(int(self.counts[k].sum()) // 2)
-            if k == len(self.radii) - 1:  # the widest U is the listing itself
-                columns, indptr = self.pairs[1], self.starts
-            else:
-                columns, indptr = self.part(self.keep(k))
-            self._upper = (k, *_csr_and_csc(ones, columns, indptr))
+            self._upper = (k, *_csr_and_csc(ones, *self.csr(k)))
         return self._upper[1:]
 
     def tally(self, word: np.ndarray) -> np.ndarray:
@@ -367,8 +380,7 @@ class _Listing:
         """(lane, (R, n) tally) of a word that holds v.
 
         A shared vector is answered from its group's word, tallied at its
-        first use and kept. Any other vector is a one-lane word, kept until
-        another one is asked for.
+        first use and kept. A vector that was not handed over is shared alone.
         """
         q = self.q
         for k, held in enumerate(self.shared):
@@ -377,10 +389,8 @@ class _Listing:
                 if word not in self._tallies:
                     self._tallies[word] = self._pack(self.shared[word * q:word * q + q])
                 return k % q, self._tallies[word]
-        if self._alone is None or not np.array_equal(self._alone[0], v):
-            self._alone = None  # one unshared vector's tally alive at a time
-            self._alone = (v.copy(), self._pack([v]))
-        return 0, self._alone[1]
+        self.share([v])
+        return self.lane(v)
 
 
 class NeighborIndex:
@@ -403,16 +413,14 @@ class NeighborIndex:
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All unordered neighbor pairs (i, j) with i < j, distance <= r, in (i, j) order.
 
-        A smaller radius's pairs are the listing's pairs whose radius bin is
-        at most k: exactly the pairs of a fresh radius-r index, in the same
-        order. A vote whose sums all come from the prefix tally never needs them.
+        They are the view's CSR arrays, with each row id repeated by its
+        row's length. A smaller radius's pairs are the listing's pairs whose
+        radius bin is at most k: exactly the pairs of a fresh radius-r index,
+        in the same order. A vote whose sums all come from the prefix tally
+        never needs them.
         """
-        listing = self._listing
-        i, j = listing.pairs
-        if self.r < listing.radii[-1]:
-            keep = listing.keep(self._k)
-            i, j = i.take(keep), j.take(keep)
-        return i, j
+        columns, indptr = self._listing.csr(self._k)
+        return np.repeat(np.arange(self.n, dtype=np.int32), np.diff(indptr)), columns
 
     @property
     def counts(self) -> np.ndarray:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from boundaryvote.geometry import build_comb, build_thin_rectangle, region_xs
+from boundaryvote.geometry import (SensorClass, build_comb, build_thin_rectangle,
+                                   classify_good_bad, convex_and_round, region_xs)
 from boundaryvote.bounds import (bad_segment_length_upper, beta_fraction,
                                  beta_inverse, bound_report, combined_upper,
                                  lemma_good0_prob, lemma_good1_prob,
@@ -200,6 +201,21 @@ class TestBoundReport:
             zr = 2 * r * xs.perimeter
             want = combined_upper(lam, p, r, xs.perimeter, xs.components, zr)
             assert bound_report(xs, lam, p, r, zr) == want
+
+    @pytest.mark.parametrize("r, applies", [(0.1, True), (math.nextafter(0.1, 1.0), False)],
+                             ids=["corner_radius", "one_ulp_above"])
+    def test_theorem3_precondition_at_the_corner_radius(self, r, applies):
+        # bound_report and classify_good_bad read the one precondition at its edge
+        xs = region_xs()
+        assert xs.min_curvature_radius == 0.1
+        assert convex_and_round(xs, r) is applies
+        report = bound_report(xs, 10000.0, 0.15, r, 0.2)
+        assert math.isnan(report.thm3_upper) is not applies
+        if applies:
+            assert classify_good_bad(xs, (0.5, 0.5), r) is SensorClass.NOT_IN_ZR
+        else:
+            with pytest.raises(ValueError):
+                classify_good_bad(xs, (0.5, 0.5), r)
 
     @pytest.mark.parametrize("region,p", [
         (build_comb(0.05, 0.4), 0.15), (build_thin_rectangle(0.05), 0.15), (region_xs(), 0.5),

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from boundaryvote import neighborhood
+from boundaryvote.cli import PAPER_R_GRID
 from boundaryvote.geometry import build_comb, region_xl, region_xs
 from boundaryvote.harness import _cells, _field_unit, trial_seed
-from boundaryvote.neighborhood import (_key_type, _lanes, _Listing, _reach, _row_starts,
-                                       _sorted_pairs, build_index, build_indexes,
-                                       neighbors_within)
+from boundaryvote.neighborhood import (NeighborIndex, _check_int32, _key_type, _lanes, _Listing,
+                                       _reach, _row_starts, _sorted_pairs, build_index,
+                                       build_indexes, neighbors_within)
 from boundaryvote.sampling import SensorField, assign_measurements, sample_field
 from boundaryvote.vote import SINGLE_ROUND, multi_round_mode
 
@@ -158,6 +159,18 @@ class TestBuildIndexes:
                 index.weighted_sums(values.astype(float))
             assert calls == {"listings": 1, "row_starts": 1}, radii
 
+    def test_listing_holds_under_16_bytes_per_pair(self):
+        # the columns, bins, B and the counts: no (i, j) copy of the listing beside them
+        field = sample_field(10000.0, seed=3)
+        tracemalloc.start()
+        try:
+            indexes = build_indexes(field, PAPER_R_GRID)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        pairs = int(indexes[-1].counts.sum()) // 2
+        assert held < 16 * pairs, held / pairs
+
 
 def tree_pairs(positions, r):
     """The k-d tree's pairs within r, lexsorted: an oracle independent of the sweep."""
@@ -175,7 +188,7 @@ def brute_pairs(positions, r):
 def assert_listing_matches(positions, r):
     """The listing's pairs equal both oracles', as int32; returns how many there are."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-    got = _Listing(positions, [r]).pairs
+    got = NeighborIndex(_Listing(positions, [r]), 0).pairs
     assert got[0].dtype == got[1].dtype == np.int32
     for want in (tree_pairs(positions, r), brute_pairs(positions, r)):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), r
@@ -430,6 +443,11 @@ class TestPrefixTally:
         i, j = _sorted_pairs(key, 32)  # in ascending key order
         assert i.dtype == j.dtype == np.int32
         assert i.tolist() == [0, top, top] and j.tolist() == [1, 0, top]
+
+    def test_index_past_int32_raises(self):
+        _check_int32(2**31 - 1)  # the largest pair count or B row count that fits
+        with pytest.raises(OverflowError):
+            _check_int32(2**31)
 
 
 @st.composite
@@ -760,6 +778,20 @@ class TestTallyCount:
     def test_lone_comb_trial(self, tallies):
         lone_trial(4000.0, 0.25, 0.05, build_comb(0.05, 0.4), seed=3)
         assert len(tallies) == 2  # the counts, then the measurement vector
+
+    def test_unshared_vector_tallied_once(self, tallies):
+        rng = np.random.default_rng(79)
+        field = make_field(rng.random(500), rng.random(500))
+        wide, cut = build_indexes(field, (0.08, 0.04))
+        shared, alone = rng.random(500) < 0.5, rng.random(500) < 0.5
+        wide.share_tallies([shared])
+        tallies.clear()
+        sums = [index.count_sums(alone) for index in (wide, cut, wide, cut)]
+        assert len(tallies) == 1  # shared alone: one word for every radius and ask
+        for index, got in zip((wide, cut), sums):
+            fresh = build_index(field, index.r)
+            assert np.array_equal(got, fresh.count_sums(alone)), index.r
+            assert np.array_equal(index.count_sums(shared), fresh.count_sums(shared)), index.r
 
 
 class TestOneUpper:
