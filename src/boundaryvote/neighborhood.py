@@ -2,21 +2,22 @@
 
 Neighborhoods are closed balls: sensors i and j are neighbors when
 dx*dx + dy*dy <= r*r in float64, the listing's own test, so two sensors at
-distance exactly r are neighbors. One expression computes it, for the
-listing and for its radius bins.
+distance exactly r are neighbors. Each candidate pair's sum is computed
+once, and the same value decides both the test and the pair's radius bin.
 
-A field has one listing, built for a fixed, sorted set of unique radii:
-its pairs i < j at the widest radius as one CSR matrix, the column ids j
-of each row i in ascending order and the row pointers, where each sensor's
-pairs start. The pairs are sorted once, on one packed unsigned key decoded
-by shifts and masks. With s the bit length of n - 1, the key is
-(i << s) | j. It is uint32 while 2s <= 32 and uint64 beyond, and a key past
-64 bits raises OverflowError. The decoded rows i give the row pointers and
-the radius bins, and are dropped before anything else is built. Every id,
-listing position and row pointer is int32, so a listing of 2**31 pairs, or
-R*n >= 2**31 for R radii, raises OverflowError. A `NeighborIndex` is a
-view of the listing at its k-th radius; `build_indexes` builds the listing
-and returns one view per radius.
+A field has one listing, built for a fixed, sorted set of unique radii. It
+holds the tally matrix B below, the neighbor counts, the tally words and
+one U, and nothing else: no (i, j) copy of its pairs and no bin per pair.
+Pairs are packed into one unsigned key, decoded by shifts and masks. With s
+the bit length of n - 1, the key is (i << s) | j. It is uint32 while
+2s <= 32 and uint64 beyond, and a key past 64 bits raises OverflowError.
+Sorting keys puts pairs in (i, j) order. A sorted key's row pointers, where
+each sensor's pairs start, are found by `searchsorted` for i << s, and its
+columns j are decoded in place, so a 32-bit key is its own int32 columns.
+Every id, column and row pointer is int32, so a listing of 2**31 pairs, or
+R*n >= 2**31 for R radii, raises OverflowError before B is allocated. A
+`NeighborIndex` is a view of the listing at its k-th radius;
+`build_indexes` builds the listing and returns one view per radius.
 
 The listing is a fixed-radius sweep over sorted x-strips (Bentley, Stanat &
 Williams, IPL 6(6), 1977). Its reach is the float just above the largest t
@@ -31,39 +32,34 @@ its own strip up to a reach above it, and the window from a reach below it
 to a reach above it in each following strip up to the last one that a reach
 along x touches. So the candidates hold every pair the test accepts, once,
 whatever the sizes of r and of the coordinates, and the test then decides.
-Candidates are tested a chunk at a time, and the keys of the accepted ones
-fill one buffer sized by the candidate count.
+Candidates are tested a chunk at a time, with x and y kept as two arrays in
+sweep order: each candidate's coordinates are gathered, and each owner's
+are repeated over its ranges.
 
-With more than one radius, the listing keeps one radius bin per pair, in
-the smallest unsigned type that holds the radius count (uint8 up to 256
-radii). A pair's bin is the number of radii below the widest whose closed
-ball misses it, by the test above. The radii that miss a pair are the
-smallest ones, so the k-th radius's pairs are exactly those with bin <= k.
-A view of a smaller radius finds its listing positions from the bins, in
-(i, j) order, without any distance.
-
-Ascending listing positions `keep` give one part of the listing in CSR form.
-Its column indices are columns.take(keep), and its row pointers are
-searchsorted(keep, starts): the number of kept pairs before each row's start.
-B's blocks are such parts. A view's CSR arrays come from one rule, `csr(k)`:
-the listing itself at the widest radius and the part at the radius's
-positions at any other. Its U is those arrays, and its pairs are their
-columns beside the rows repeated by the row pointers, so no view gathers
-its i. Positions are found and gathered a chunk at a time, since `take`
-copies int32 indices to int64, so no listing-sized int64 array is made.
+A pair's radius bin is the number of radii below the widest whose closed
+ball misses it, by the test above, in the smallest unsigned type that holds
+R - 1 (uint8 up to 256 radii). The radii that miss a pair are the smallest
+ones, so the k-th radius's pairs are exactly those with bin <= k. Within
+each chunk, the accepted keys are partitioned by bin, and each bin keeps one
+piece per chunk. B's block k is bin k's pieces, joined, freed and sorted
+once. A lone radius, R = 1, has one bin: its keys fill one buffer sized by
+the candidate count, and sorted, they are B's columns, with no bin at all.
 
 The listing answers `count_sums` and `counts` for all of its radii from one
 prefix tally. B is the (R*n, R*n) block-diagonal upper adjacency whose block
-k holds the pairs of bin k: an entry at row k*n + i, column k*n + j for each
-such pair i < j, so it has one entry per pair. B's CSR order is the listing
-stably partitioned by bin, so block k is the part of bin k's positions. With
-x a vector tiled R times, row k*n + i of B @ x + B.T @ x sums x over the
-neighbors of i in bin k. The cumulative sum over the radius axis of that
-(R, n) result is every radius's sums. `counts` is the tally of the all-ones
-vector. The listing, its bins, B and the counts are built with the listing;
-only U and the tally words wait for their first use. A lone radius is the
-case R = 1: every pair is in bin 0, so B is the listing itself, with U's
-column indices and row pointers and int32 entries, and no pair is binned.
+k holds the pairs of bin k in (i, j) order: an entry at row k*n + i, column
+k*n + j for each such pair i < j, so it has one entry per pair, each an
+int32 one. With x a vector tiled R times, row k*n + i of B @ x + B.T @ x
+sums x over the neighbors of i in bin k. The cumulative sum over the radius
+axis of that (R, n) result is every radius's sums. `counts` is the tally of
+the all-ones vector. B and the counts are built with the listing; only U
+and the tally words wait for their first use.
+
+A view's CSR arrays come from one rule, `csr(k)`. With one radius they are
+B's own arrays. Otherwise the keys of B's blocks 0..k are rebuilt, block by
+block, into one buffer, which is sorted once into (i, j) order. A view's U
+is those arrays, and its pairs are their columns beside the rows repeated
+by the row pointers, so no view keeps its i.
 
 A tally word carries several 0/1 vectors at once. Every neighbor count at
 every radius is at most M, the widest radius's largest count, so a 0/1
@@ -83,16 +79,15 @@ changed in place is never answered from a stale tally.
 
 Multi-round voting sums real scores with two sparse matrix-vector products,
 `weighted_sums(v) = U @ v + U.T @ v`. U is the upper adjacency in CSR form:
-row i holds the neighbors j > i in ascending order. The widest view's U is
-the listing itself, and a smaller view's U is the part at its positions.
-Row i of U @ v adds v[j] over j ascending, and the CSC product adds v[i]
-into row j over i ascending: the order in which two weighted `bincount`s
-over the listing add them, so the sums are the same bit for bit. One
-symmetric matrix U + U.T would interleave the two halves of each row and
-round differently, which can flip a tie at an exact-zero score. The listing
-holds one U, the last one asked for, and drops it before it builds another,
-so one U is alive at a time and a caller that runs the views radius by
-radius builds each U once. Each U has its own float64 ones as its `data`.
+row i holds the neighbors j > i in ascending order. Row i of U @ v adds v[j]
+over j ascending, and the CSC product adds v[i] into row j over i
+ascending: the order in which two weighted `bincount`s over the (i, j)
+ordered pairs add them, so the sums are the same bit for bit. One symmetric
+matrix U + U.T would interleave the two halves of each row and round
+differently, which can flip a tie at an exact-zero score. The listing holds
+one U, the last one asked for, and drops it before it builds another, so
+one U is alive at a time and a caller that runs the views radius by radius
+builds each U once. Each U has its own float64 ones as its `data`.
 
 B.T and U.T are their matrix's three arrays read as CSC, so they copy
 nothing. The arrays are set after construction because scipy's format check
@@ -106,7 +101,7 @@ import math
 import numpy as np
 from scipy import sparse
 
-_CHUNK = 1 << 16  # candidates tested, or pairs binned or partitioned, at once: kept in cache
+_CHUNK = 1 << 16  # candidates tested at once: kept in cache
 
 
 def _key_type(bits: int) -> type:
@@ -119,20 +114,23 @@ def _key_type(bits: int) -> type:
     return np.uint32 if bits <= 32 else np.uint64
 
 
-def _sorted_pairs(key: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """int32 ids (i, j) of packed keys (i << s) | j in ascending key order; sorts key in place."""
+def _bin_type(radii: int) -> np.dtype:
+    """The smallest unsigned type that holds a radius bin, 0..radii - 1."""
+    return np.min_scalar_type(radii - 1)
+
+
+def _sorted_csr(key: np.ndarray, s: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """int32 CSR column ids and row pointers of packed keys (i << s) | j with i < n.
+
+    Sorts and decodes key in place, so a 32-bit key's columns are its own
+    memory. Row i starts at the first key >= i << s.
+    """
     key.sort()
-    i = key >> s
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indptr[:n] = np.searchsorted(key, np.arange(n, dtype=key.dtype) << s)
+    indptr[n] = key.size  # n << s may not fit the key
     key &= (1 << s) - 1
-    # int32 ids halve the memory of the listing and its parts
-    return tuple(ids.view(np.int32) if ids.itemsize == 4 else ids.astype(np.int32)
-                 for ids in (i, key))
-
-
-def _squared_distances(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """dx*dx + dy*dy between the complex points at ids i and j: the closed-ball test's sum."""
-    d = points.take(i) - points.take(j)  # one gather per endpoint
-    return d.real * d.real + d.imag * d.imag
+    return key.view(np.int32) if key.itemsize == 4 else key.astype(np.int32), indptr
 
 
 def _reach(r2: float) -> float:
@@ -154,9 +152,10 @@ def _reach(r2: float) -> float:
 def _sweep(positions: np.ndarray, reach: float) -> tuple[np.ndarray, ...]:
     """Sensors in (strip, y) order, and the ranges of that order that hold their candidates.
 
-    Returns order, the sensor at each sweep position, and three arrays with
-    one entry per nonempty range: its first position, its length, and the
-    position of the sensor whose candidates it holds.
+    Returns order, the sensor at each sweep position, their x and y in that
+    order, and three arrays with one entry per nonempty range: its first
+    position, its length, and the position of the sensor whose candidates
+    it holds.
     """
     n = positions.shape[0]
     x, y = positions.T
@@ -185,12 +184,7 @@ def _sweep(positions: np.ndarray, reach: float) -> tuple[np.ndarray, ...]:
     starts, owners = np.concatenate(starts), np.concatenate(owners)
     sizes = np.concatenate(stops) - starts
     busy = np.flatnonzero(sizes)
-    return order, starts.take(busy), sizes.take(busy), owners.take(busy)
-
-
-def _row_starts(rows, n: int) -> np.ndarray:
-    """CSR row pointers of ascending row ids: where each of rows 0..n starts, in rows' dtype."""
-    return np.searchsorted(rows, np.arange(n + 1, dtype=rows.dtype)).astype(rows.dtype)
+    return order, x, y, starts.take(busy), sizes.take(busy), owners.take(busy)
 
 
 def _check_int32(most: int) -> None:
@@ -224,124 +218,104 @@ class _Listing:
         self.positions = positions
         self.n = positions.shape[0]
         self.radii = radii  # sorted and unique: the last is the listing's own
-        i, self.columns = self._list()
-        _check_int32(max(i.size, len(radii) * self.n))
-        self.starts = _row_starts(i, self.n)  # shared by B and every U
-        self.bins = self._bin(i) if len(radii) > 1 else None
-        del i  # freed before B is built
-        self.block = self._block()  # (B, B.T)
+        self.s = max(self.n - 1, 0).bit_length()  # bits of a sensor id in a packed key
+        self.key_type = _key_type(2 * self.s)
+        self.block = self._block(self._list())  # (B, B.T)
         self.counts = self.tally(np.ones(self.n, dtype=np.int32)).astype(np.int64)
         self.w, self.q = _lanes(self.counts[-1].max(initial=0))
         self._upper = None  # the one U held, as (k, U, U.T)
         self.share([])
 
-    def _list(self) -> tuple[np.ndarray, np.ndarray]:
-        """All pairs (i, j) with i < j within the widest radius, in (i, j) order, as int32."""
-        r = self.radii[-1]
-        s = max(self.n - 1, 0).bit_length()  # bits of a sensor id in the key
-        key_type = _key_type(2 * s)
-        order, starts, sizes, owners = _sweep(self.positions, _reach(r * r))
-        points = self.positions.view(np.complex128).ravel().take(order)  # in sweep order
+    def _list(self) -> list[list[np.ndarray]]:
+        """Packed keys (i << s) | j of all pairs i < j within the widest radius, by radius bin.
+
+        A pair's bin is the number of smaller radii whose closed ball misses
+        it, from the squared distance that the widest radius's test has just
+        computed. Each bin's keys come in pieces, one per chunk, in no order.
+        One radius fills one buffer sized by the candidate count instead.
+        """
+        radii, s, key_type = self.radii, self.s, self.key_type
+        r2 = radii[-1] * radii[-1]
+        order, x, y, starts, sizes, owners = _sweep(self.positions, _reach(r2))
         ids = order.astype(key_type)
         ends = np.cumsum(sizes)  # candidates through each range
-        keys = np.empty(ends[-1] if ends.size else 0, dtype=key_type)
+        keys = np.empty(ends[-1] if ends.size and len(radii) == 1 else 0, dtype=key_type)
+        blocks = [[np.empty(0, dtype=key_type)] for _ in radii]  # each bin's key pieces
         filled = done = first = 0
         while first < ends.size:  # ranges first..last - 1 hold about _CHUNK candidates
             last = max(int(np.searchsorted(ends, done + _CHUNK, side="right")), first + 1)
-            size = sizes[first:last]
+            size, mine = sizes[first:last], owners[first:last]
             offsets = starts[first:last] - (ends[first:last] - size - done)
             at = np.repeat(offsets, size) + np.arange(ends[last - 1] - done)
-            own = np.repeat(owners[first:last], size)
-            hit = _squared_distances(points, own, at) <= r * r
-            a, b = ids.take(own), ids.take(at)
+            dx, dy = x.take(at), y.take(at)
+            dx -= np.repeat(x.take(mine), size)
+            dy -= np.repeat(y.take(mine), size)
+            dx *= dx
+            dy *= dy
+            dx += dy  # dx*dx + dy*dy, the closed-ball test's sum
+            hit = np.flatnonzero(dx <= r2)
+            a, b = np.repeat(ids.take(mine), size).take(hit), ids.take(at.take(hit))
             key = np.minimum(a, b)
             key <<= s
             key |= np.maximum(a, b)
-            fill = slice(filled, filled + np.count_nonzero(hit))
-            keys[fill] = key[hit]
-            filled, done, first = fill.stop, int(ends[last - 1]), last
-        key = keys[:filled].copy()
-        del keys  # freed before the sort
-        return _sorted_pairs(key, s)
-
-    def _bin(self, i: np.ndarray) -> np.ndarray:
-        """Each listed pair's count of the smaller radii that miss it, from its rows i.
-
-        A pair listed at the widest radius stays in its bin, so the widest
-        radius's own test is never repeated on the listing.
-        """
-        j = self.columns
-        points = self.positions.view(np.complex128).ravel()
-        out = np.zeros(i.size, dtype=np.min_scalar_type(len(self.radii) - 1))
-        for start in range(0, i.size, _CHUNK):
-            sq = _squared_distances(points, i[start:start + _CHUNK], j[start:start + _CHUNK])
-            bins = out[start:start + _CHUNK]
-            for r in self.radii[:-1]:
-                bins += sq > r * r
-        return out
-
-    def _block(self) -> tuple[sparse.csr_array, sparse.csc_array]:
-        """(B, B.T) over the listing's bins."""
-        radii, n = len(self.radii), self.n
-        if radii == 1:  # one bin: B is the listing itself
-            columns, indptr = self.columns, self.starts
-        else:
-            bins = self.bins
-            # the listing stably partitioned by bin: blocks[k] holds bin k's listing
-            # positions, ascending, one piece per chunk, so the sort's buffer stays small
-            blocks = [[np.empty(0, dtype=np.int32)] for _ in range(radii)]
-            for start in range(0, bins.size, _CHUNK):
-                chunk = bins[start:start + _CHUNK]
-                local = np.argsort(chunk, kind="stable")
-                cuts = np.searchsorted(chunk, np.arange(1, radii, dtype=bins.dtype), sorter=local)
-                local += start
-                for pieces, piece in zip(blocks, np.split(local.astype(np.int32), cuts)):
+            if len(radii) > 1:
+                sq, bins = dx.take(hit), np.zeros(hit.size, dtype=_bin_type(len(radii)))
+                for r in radii[:-1]:
+                    bins += sq > r * r
+                grouped = np.argsort(bins, kind="stable")
+                firsts = np.arange(1, len(radii), dtype=bins.dtype)  # each later bin's first
+                cuts = np.searchsorted(bins, firsts, sorter=grouped)
+                for pieces, piece in zip(blocks, np.split(key.take(grouped), cuts)):
                     pieces.append(piece)
-            columns = np.empty(bins.size, dtype=np.int32)
-            indptr = np.empty(radii * n + 1, dtype=np.int32)
-            stop = 0
-            for k, pieces in enumerate(blocks):  # block k: rows k*n + i, columns k*n + j
-                block, pointers = self.part(np.concatenate(pieces))
-                start, stop = stop, stop + block.size
-                columns[start:stop] = block
-                columns[start:stop] += k * n
-                indptr[k * n:(k + 1) * n + 1] = start + pointers
-            del blocks, block, pointers  # freed before B's data is allocated
+            else:
+                keys[filled:filled + key.size] = key
+                filled += key.size
+            done, first = int(ends[last - 1]), last
+        if len(radii) == 1:
+            blocks[0].append(keys[:filled])
+        return blocks
+
+    def _block(self, blocks: list[list[np.ndarray]]) -> tuple[sparse.csr_array, sparse.csc_array]:
+        """(B, B.T) from each bin's key pieces, which are freed as their block is written.
+
+        Block k holds bin k's pairs, sorted, at rows k*n + i and columns k*n + j.
+        A 32-bit key is gathered, sorted and decoded in its block's own columns.
+        """
+        n, s, radii = self.n, self.s, len(self.radii)
+        sizes = [sum(piece.size for piece in pieces) for pieces in blocks]
+        _check_int32(max(sum(sizes), radii * n))
+        columns = np.empty(sum(sizes), dtype=np.int32)
+        indptr = np.empty(radii * n + 1, dtype=np.int32)
+        stop = 0
+        for k, size in enumerate(sizes):
+            start, stop = stop, stop + size
+            out = columns[start:stop]
+            in_place = out.view(np.uint32) if self.key_type is np.uint32 else None
+            key = np.concatenate(blocks[k], out=in_place)
+            blocks[k] = None
+            block, pointers = _sorted_csr(key, s, n)
+            np.add(block, k * n, out=out)
+            np.add(pointers, start, out=indptr[k * n:(k + 1) * n + 1])
         return _csr_and_csc(np.ones(columns.size, dtype=np.int32), columns, indptr)
 
-    def keep(self, k: int) -> np.ndarray:
-        """Listing positions of the pairs of the k-th radius, ascending, as int32.
-
-        They fill an array sized by the radius's pair count a chunk at a time,
-        so no listing-sized temporary is made.
-        """
-        keep = np.empty(int(self.counts[k].sum()) // 2, dtype=np.int32)
-        filled = 0
-        for start in range(0, self.bins.size, _CHUNK):
-            # an index array, not a mask: boolean indexing is three times slower
-            # on bins that follow no order along the listing
-            at = np.flatnonzero(self.bins[start:start + _CHUNK] <= k)
-            at += start
-            keep[filled:filled + at.size] = at
-            filled += at.size
-        return keep
-
-    def part(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """CSR column indices and row pointers, both int32, of the pairs at positions keep."""
-        columns = np.empty(keep.size, dtype=np.int32)
-        for start in range(0, keep.size, _CHUNK):  # take copies its indices to intp
-            columns[start:start + _CHUNK] = self.columns.take(keep[start:start + _CHUNK])
-        return columns, np.searchsorted(keep, self.starts).astype(np.int32)
-
     def csr(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """U's column indices and row pointers at the k-th radius.
+        """U's column indices and row pointers at the k-th radius: B's blocks 0..k in (i, j) order.
 
-        The widest radius's are the listing's own; any other's are the part
-        of the listing at its positions.
+        A one-radius listing's are B's own. Any other's are the keys of those
+        blocks, rebuilt block by block into one buffer and sorted once.
         """
-        if k == len(self.radii) - 1:
-            return self.columns, self.starts
-        return self.part(self.keep(k))
+        upper = self.block[0]
+        if len(self.radii) == 1:
+            return upper.indices, upper.indptr
+        n, s, indptr = self.n, self.s, upper.indptr
+        key = np.empty(int(indptr[(k + 1) * n]), dtype=self.key_type)
+        rows = np.arange(n, dtype=key.dtype) << s
+        for b in range(k + 1):
+            block = key[indptr[b * n]:indptr[(b + 1) * n]]
+            block[:] = upper.indices[indptr[b * n]:indptr[(b + 1) * n]]
+            block -= b * n
+            block |= np.repeat(rows, np.diff(indptr[b * n:(b + 1) * n + 1]))
+        return _sorted_csr(key, s, n)
 
     def upper(self, k: int) -> tuple[sparse.csr_array, sparse.csc_array]:
         """(U, U.T) at the k-th radius: the one U held, built when another radius asks.
@@ -351,7 +325,7 @@ class _Listing:
         """
         if self._upper is None or self._upper[0] != k:
             self._upper = None
-            # the ones before the part: in this order a lambda = 10000 multi
+            # the ones before the keys: in this order a lambda = 10000 multi
             # sweep peaked about 8 MB lower in resident memory
             ones = np.ones(int(self.counts[k].sum()) // 2)
             self._upper = (k, *_csr_and_csc(ones, *self.csr(k)))

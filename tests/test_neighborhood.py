@@ -13,8 +13,8 @@ from boundaryvote import neighborhood
 from boundaryvote.cli import PAPER_R_GRID
 from boundaryvote.geometry import build_comb, region_xl, region_xs
 from boundaryvote.harness import _cells, _field_unit, trial_seed
-from boundaryvote.neighborhood import (NeighborIndex, _check_int32, _key_type, _lanes, _Listing,
-                                       _reach, _row_starts, _sorted_pairs, build_index,
+from boundaryvote.neighborhood import (NeighborIndex, _bin_type, _check_int32, _key_type, _lanes,
+                                       _Listing, _reach, _sorted_csr, build_index,
                                        build_indexes, neighbors_within)
 from boundaryvote.sampling import SensorField, assign_measurements, sample_field
 from boundaryvote.vote import SINGLE_ROUND, multi_round_mode
@@ -136,40 +136,44 @@ class TestBuildIndexes:
             build_indexes(make_field([0.5, 0.6], [0.5, 0.5]), radii)
 
     def test_one_listing_and_one_row_pointer_pass(self, monkeypatch):
-        calls = {"listings": 0, "row_starts": 0}
+        calls = {"listings": 0, "row_pointers": 0}
         listing = _Listing._list
 
         def list_pairs(self):
             calls["listings"] += 1
             return listing(self)
 
-        def row_starts(rows, n):
-            calls["row_starts"] += 1
-            return _row_starts(rows, n)
+        def sorted_csr(key, s, n):
+            calls["row_pointers"] += 1
+            return _sorted_csr(key, s, n)
 
         monkeypatch.setattr(_Listing, "_list", list_pairs)
-        monkeypatch.setattr(neighborhood, "_row_starts", row_starts)
+        monkeypatch.setattr(neighborhood, "_sorted_csr", sorted_csr)
         rng = np.random.default_rng(71)
         field = make_field(rng.random(500), rng.random(500))
         values = rng.random(500) < 0.5
-        for radii in ([0.05], [0.08, 0.03, 0.05, 0.03]):
-            calls.update(listings=0, row_starts=0)
+        # row pointers: one pass per bin of B; with more radii than one, also one
+        # per U built (4: the view at 0.05 drops the U at 0.03) and per view's pairs
+        for radii, passes in (([0.05], 1), ([0.08, 0.03, 0.05, 0.03], 3 + 4 + 4)):
+            calls.update(listings=0, row_pointers=0)
             for index in build_indexes(field, radii):  # every view reads all it holds
                 index.pairs, index.counts, index.count_sums(values)
                 index.weighted_sums(values.astype(float))
-            assert calls == {"listings": 1, "row_starts": 1}, radii
+            assert calls == {"listings": 1, "row_pointers": passes}, radii
 
-    def test_listing_holds_under_16_bytes_per_pair(self):
-        # the columns, bins, B and the counts: no (i, j) copy of the listing beside them
+    def test_listing_holds_under_11_and_peaks_under_13_bytes_per_pair(self):
+        # B and the counts, with no (i, j) copy and no bin per pair beside them;
+        # the keys of B's blocks are sorted in B's own columns
         field = sample_field(10000.0, seed=3)
         tracemalloc.start()
         try:
             indexes = build_indexes(field, PAPER_R_GRID)
-            held = tracemalloc.get_traced_memory()[0]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         pairs = int(indexes[-1].counts.sum()) // 2
-        assert held < 16 * pairs, held / pairs
+        assert held < 11 * pairs, held / pairs
+        assert peak < 13 * pairs, peak / pairs
 
 
 def tree_pairs(positions, r):
@@ -392,7 +396,8 @@ class TestPrefixTally:
             assert np.array_equal(sums, want), index.r
             assert index.counts.dtype == fresh.counts.dtype == np.int64
             assert np.array_equal(index.counts, fresh.counts), index.r
-        assert indexes[0]._listing.bins.dtype == np.uint16
+        assert _bin_type(len(radii)) == np.uint16  # the bins of these 300 radii
+        assert _bin_type(256) == np.uint8 and _bin_type(257) == np.uint16
 
     def test_lone_index_sums_equal_two_bincounts(self):
         sampled = sample_field(3000, seed=5)
@@ -438,11 +443,11 @@ class TestPrefixTally:
         assert _key_type(33) is _key_type(64) is np.uint64  # exactly 64 bits: no wrap
         with pytest.raises(OverflowError):
             _key_type(65)
-        top = 2**31 - 1  # the largest int32 id, in a 32-bit field of the key
-        key = np.array([(top << 32) | top, 1, top << 32], dtype=np.uint64)
-        i, j = _sorted_pairs(key, 32)  # in ascending key order
-        assert i.dtype == j.dtype == np.int32
-        assert i.tolist() == [0, top, top] and j.tolist() == [1, 0, top]
+        top = 2**31 - 1  # the largest int32 id, in the low 32-bit field of the key
+        key = np.array([(2 << 32) | top, 1, 2 << 32], dtype=np.uint64)
+        columns, indptr = _sorted_csr(key, 32, 3)  # in ascending key order
+        assert columns.dtype == indptr.dtype == np.int32
+        assert columns.tolist() == [1, 0, top] and indptr.tolist() == [0, 1, 1, 3]
 
     def test_index_past_int32_raises(self):
         _check_int32(2**31 - 1)  # the largest pair count or B row count that fits
@@ -713,35 +718,36 @@ class TestSums:
 
 
 class TestOneSort:
-    """A field's pair listing is sorted once, and its row pointers found once, whatever reads them."""
+    """B sorts each listed pair once, and each U built sorts exactly its radius's pairs."""
 
     @pytest.fixture()
-    def calls(self, monkeypatch):
-        calls = {"sorts": 0, "row_starts": 0}
+    def sorts(self, monkeypatch):
+        sizes = []  # the number of keys of each sort, in order
 
-        def sort(key, s):
-            calls["sorts"] += 1
-            return _sorted_pairs(key, s)
+        def sort(key, s, n):
+            sizes.append(key.size)
+            return _sorted_csr(key, s, n)
 
-        def row_starts(rows, n):
-            calls["row_starts"] += 1
-            return _row_starts(rows, n)
-
-        monkeypatch.setattr(neighborhood, "_sorted_pairs", sort)
-        monkeypatch.setattr(neighborhood, "_row_starts", row_starts)
-        return calls
+        monkeypatch.setattr(neighborhood, "_sorted_csr", sort)
+        return sizes
 
     @pytest.mark.parametrize("mode", [SINGLE_ROUND, multi_round_mode(0.5)], ids=["single", "multi"])
-    def test_field_unit(self, calls, mode):
-        # p = 0.3 at r = 0.02 runs 8 rounds, so the cuts' U are built too
-        _field_unit(3, 1500.0, 0, (region_xs(),), (0.05, 0.3), (0.02, 0.04, 0.06), mode)
-        assert calls == {"sorts": 1, "row_starts": 1}  # B and every U share the row pointers
+    def test_field_unit(self, sorts, mode):
+        field = sample_field(1500.0, trial_seed(3, 1500.0, 0))
+        radii = (0.02, 0.04, 0.06)
+        pairs = [build_index(field, r).pairs[0].size for r in radii]
+        sorts.clear()
+        # p = 0.3 runs 8 rounds at r = 0.02, 4 at 0.04 and 3 at 0.06, so every U is built
+        _field_unit(3, 1500.0, 0, (region_xs(),), (0.05, 0.3), radii, mode)
+        assert len(sorts) >= 3 and sum(sorts[:3]) == pairs[-1]  # one sort per bin of B
+        assert sorts[3:] == (pairs if mode.kind == "multi" else [])
 
-    def test_lone_multi_round_index(self, calls):
-        _, outcome, _ = lone_trial(1500.0, 0.3, 0.05, region_xs(), seed=3,
-                                   mode=multi_round_mode(0.5))
+    def test_lone_multi_round_index(self, sorts):
+        field, outcome, _ = lone_trial(1500.0, 0.3, 0.05, region_xs(), seed=3,
+                                       mode=multi_round_mode(0.5))
         assert outcome.rounds_executed == 3
-        assert calls == {"sorts": 1, "row_starts": 1}
+        got = list(sorts)
+        assert got == [build_index(field, 0.05).pairs[0].size]  # U reads B's own arrays
 
 
 class TestTallyCount:
