@@ -55,11 +55,15 @@ axis of that (R, n) result is every radius's sums. `counts` is the tally of
 the all-ones vector. B and the counts are built with the listing; only U
 and the tally words wait for their first use.
 
-A view's CSR arrays come from one rule, `csr(k)`. With one radius they are
-B's own arrays. Otherwise the keys of B's blocks 0..k are rebuilt, block by
-block, into one buffer, which is sorted once into (i, j) order. A view's U
-is those arrays, and its pairs are their columns beside the rows repeated
-by the row pointers, so no view keeps its i.
+A radius's CSR arrays are built in one place, the listing's U at that
+radius, and a view reads only B and that U. At k = 0, for any number of
+radii, U's arrays are B's block 0: its columns and its first n + 1 row
+pointers. At k >= 1 the keys of B's blocks 0..k are rebuilt, block by
+block, into one buffer, which is sorted once into (i, j) order. A view's
+pairs are U's columns beside the rows repeated by the row pointers, so no
+view keeps its i, and repeated reads at one radius sort at most once. The
+columns and the counts a view hands back are read-only, so writing into
+them cannot change B or a later sum.
 
 A tally word carries several 0/1 vectors at once. Every neighbor count at
 every radius is at most M, the widest radius's largest count, so a 0/1
@@ -222,6 +226,7 @@ class _Listing:
         self.key_type = _key_type(2 * self.s)
         self.block = self._block(self._list())  # (B, B.T)
         self.counts = self.tally(np.ones(self.n, dtype=np.int32)).astype(np.int64)
+        self.counts.flags.writeable = False  # so is each view's row of it
         self.w, self.q = _lanes(self.counts[-1].max(initial=0))
         self._upper = None  # the one U held, as (k, U, U.T)
         self.share([])
@@ -298,37 +303,33 @@ class _Listing:
             np.add(pointers, start, out=indptr[k * n:(k + 1) * n + 1])
         return _csr_and_csc(np.ones(columns.size, dtype=np.int32), columns, indptr)
 
-    def csr(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """U's column indices and row pointers at the k-th radius: B's blocks 0..k in (i, j) order.
-
-        A one-radius listing's are B's own. Any other's are the keys of those
-        blocks, rebuilt block by block into one buffer and sorted once.
-        """
-        upper = self.block[0]
-        if len(self.radii) == 1:
-            return upper.indices, upper.indptr
-        n, s, indptr = self.n, self.s, upper.indptr
-        key = np.empty(int(indptr[(k + 1) * n]), dtype=self.key_type)
-        rows = np.arange(n, dtype=key.dtype) << s
-        for b in range(k + 1):
-            block = key[indptr[b * n]:indptr[(b + 1) * n]]
-            block[:] = upper.indices[indptr[b * n]:indptr[(b + 1) * n]]
-            block -= b * n
-            block |= np.repeat(rows, np.diff(indptr[b * n:(b + 1) * n + 1]))
-        return _sorted_csr(key, s, n)
-
     def upper(self, k: int) -> tuple[sparse.csr_array, sparse.csc_array]:
         """(U, U.T) at the k-th radius: the one U held, built when another radius asks.
 
-        The old U is dropped before the new one is built, so one U is alive
-        at a time, and each U has its own float64 ones as its data.
+        U is the only place a radius's CSR arrays are built: B's blocks 0..k in
+        (i, j) order, at k = 0 B's block 0 itself, and otherwise those blocks'
+        keys rebuilt into one buffer and sorted once. The old U is dropped
+        before the new one is built, so one U is alive at a time. Each U has
+        its own float64 ones as its data, and read-only columns.
         """
         if self._upper is None or self._upper[0] != k:
             self._upper = None
             # the ones before the keys: in this order a lambda = 10000 multi
             # sweep peaked about 8 MB lower in resident memory
             ones = np.ones(int(self.counts[k].sum()) // 2)
-            self._upper = (k, *_csr_and_csc(ones, *self.csr(k)))
+            n, s, (columns, indptr) = self.n, self.s, (self.block[0].indices, self.block[0].indptr)
+            if k:
+                key = np.empty(ones.size, dtype=self.key_type)
+                rows = np.arange(n, dtype=key.dtype) << s
+                for b in range(k + 1):
+                    block = key[indptr[b * n]:indptr[(b + 1) * n]]
+                    block[:] = columns[indptr[b * n]:indptr[(b + 1) * n]]
+                    block -= b * n
+                    block |= np.repeat(rows, np.diff(indptr[b * n:(b + 1) * n + 1]))
+                columns, indptr = _sorted_csr(key, s, n)
+            columns, indptr = columns[:ones.size], indptr[:n + 1]  # at k = 0, B's block 0
+            columns.flags.writeable = False
+            self._upper = (k, *_csr_and_csc(ones, columns, indptr))
         return self._upper[1:]
 
     def tally(self, word: np.ndarray) -> np.ndarray:
@@ -387,14 +388,15 @@ class NeighborIndex:
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All unordered neighbor pairs (i, j) with i < j, distance <= r, in (i, j) order.
 
-        They are the view's CSR arrays, with each row id repeated by its
-        row's length. A smaller radius's pairs are the listing's pairs whose
-        radius bin is at most k: exactly the pairs of a fresh radius-r index,
-        in the same order. A vote whose sums all come from the prefix tally
-        never needs them.
+        They are the arrays of the U the listing holds at this radius: its
+        read-only columns, beside each row id repeated by its row's length,
+        so repeated reads build U once. A smaller radius's pairs are the
+        listing's pairs whose radius bin is at most k: exactly the pairs of a
+        fresh radius-r index, in the same order. A vote whose sums all come
+        from the prefix tally never needs them.
         """
-        columns, indptr = self._listing.csr(self._k)
-        return np.repeat(np.arange(self.n, dtype=np.int32), np.diff(indptr)), columns
+        upper, _ = self._listing.upper(self._k)
+        return np.repeat(np.arange(self.n, dtype=np.int32), np.diff(upper.indptr)), upper.indices
 
     @property
     def counts(self) -> np.ndarray:

@@ -152,9 +152,9 @@ class TestBuildIndexes:
         rng = np.random.default_rng(71)
         field = make_field(rng.random(500), rng.random(500))
         values = rng.random(500) < 0.5
-        # row pointers: one pass per bin of B; with more radii than one, also one
-        # per U built (4: the view at 0.05 drops the U at 0.03) and per view's pairs
-        for radii, passes in (([0.05], 1), ([0.08, 0.03, 0.05, 0.03], 3 + 4 + 4)):
+        # row pointers: one pass per bin of B, and one per U built at k >= 1 (2: the
+        # view at 0.03 reads B's block 0, and pairs read the U that the view holds)
+        for radii, passes in (([0.05], 1), ([0.08, 0.03, 0.05, 0.03], 3 + 2)):
             calls.update(listings=0, row_pointers=0)
             for index in build_indexes(field, radii):  # every view reads all it holds
                 index.pairs, index.counts, index.count_sums(values)
@@ -718,7 +718,7 @@ class TestSums:
 
 
 class TestOneSort:
-    """B sorts each listed pair once, and each U built sorts exactly its radius's pairs."""
+    """B sorts each listed pair once, and each U at k >= 1 sorts exactly its radius's pairs."""
 
     @pytest.fixture()
     def sorts(self, monkeypatch):
@@ -740,7 +740,8 @@ class TestOneSort:
         # p = 0.3 runs 8 rounds at r = 0.02, 4 at 0.04 and 3 at 0.06, so every U is built
         _field_unit(3, 1500.0, 0, (region_xs(),), (0.05, 0.3), radii, mode)
         assert len(sorts) >= 3 and sum(sorts[:3]) == pairs[-1]  # one sort per bin of B
-        assert sorts[3:] == (pairs if mode.kind == "multi" else [])
+        # the U at 0.02 is B's block 0, so only the U at 0.04 and at 0.06 sorts
+        assert sorts[3:] == (pairs[1:] if mode.kind == "multi" else [])
 
     def test_lone_multi_round_index(self, sorts):
         field, outcome, _ = lone_trial(1500.0, 0.3, 0.05, region_xs(), seed=3,
@@ -748,6 +749,32 @@ class TestOneSort:
         assert outcome.rounds_executed == 3
         got = list(sorts)
         assert got == [build_index(field, 0.05).pairs[0].size]  # U reads B's own arrays
+
+    def test_repeated_pairs_sort_once_per_radius(self, sorts):
+        rng = np.random.default_rng(83)
+        field = make_field(rng.random(600), rng.random(600))
+        indexes = build_indexes(field, (0.03, 0.05, 0.08))
+        sorts.clear()
+        for index in indexes:
+            for _ in range(3):
+                i, j = index.pairs
+                assert i.size == j.size == index.counts.sum() // 2
+        # the U at 0.03 is B's block 0; each later U sorts its radius's pairs once
+        assert sorts == [index.counts.sum() // 2 for index in indexes[1:]]
+
+    def test_smallest_radius_reads_block_zero_of_b(self, sorts):
+        rng = np.random.default_rng(89)
+        field = make_field(rng.random(600), rng.random(600))
+        smallest, wide = build_indexes(field, (0.03, 0.08))
+        b = smallest._listing.block[0]
+        sorts.clear()
+        for matrix in smallest._listing.upper(0):
+            assert np.shares_memory(matrix.indices, b.indices)
+            assert np.shares_memory(matrix.indptr, b.indptr)
+        assert sorts == []
+        for index in (smallest, wide):
+            got, want = index.pairs, build_index(field, index.r).pairs
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestTallyCount:
@@ -814,12 +841,28 @@ class TestOneUpper:
                 built.append((data.size, [weakref.ref(held) for held in (*pair, data)]))
             return pair
 
+        field = sample_field(1500.0, trial_seed(3, 1500.0, 0))
+        want = [build_index(field, r).pairs[0].size for r in (0.04, 0.02)]
         monkeypatch.setattr(neighborhood, "_csr_and_csc", counted)
         # at c = 0.5, p = 0.3 runs 4 rounds at r = 0.04 and 8 at r = 0.02, and every
         # cell at r = 0.2 runs one round, so it needs no U; r = 0.04 comes twice
         r_values = (0.04, 0.2, 0.02, 0.04)
         _field_unit(3, 1500.0, 0, (region_xs(), region_xl()), (0.05, 0.3), r_values,
                     multi_round_mode(0.5))
-        field = sample_field(1500.0, trial_seed(3, 1500.0, 0))
-        want = [build_index(field, r).pairs[0].size for r in (0.04, 0.02)]
         assert [size for size, _ in built] == want
+
+
+class TestReadOnlyViews:
+    """A view's columns and counts are read-only, so no write can change a later sum."""
+
+    @pytest.mark.parametrize("radii", [[0.05], [0.02, 0.05]])
+    def test_writes_raise_and_sums_hold(self, radii):
+        field = sample_field(2000.0, 1)
+        values = np.random.default_rng(97).random(field.n) < 0.5
+        for index in build_indexes(field, radii):
+            for array in (index.pairs[1], index.counts):
+                with pytest.raises(ValueError):
+                    array[:] = 0
+            index.share_tallies([])  # forget every tally, so the sums are made again
+            want = build_index(field, index.r).count_sums(values)
+            assert np.array_equal(index.count_sums(values), want), index.r
