@@ -117,8 +117,8 @@ def _one_cell(args) -> tuple:
     seed = _get(cfg, "seed", args.seed, 0, int)
     trials = _get(cfg, "trials", args.trials, 1, int)
     mode = _vote_mode(cfg, args)
+    check_inputs((r,), (p,), (lam,), seed=seed, trials=trials)
     region = build_region(cfg, args)
-    check_inputs((r,), (p,), (lam,), (region,), seed=seed, trials=trials)
     return seed, lam, region, p, r, mode, trials
 
 
@@ -217,6 +217,7 @@ def cmd_worstcase(args) -> int:
     r = _get({}, "r", args.r, 0.05, float)
     trials = _get({}, "trials", args.trials, 200, int)
     seed = _get({}, "seed", args.seed, 0, int)
+    check_inputs((r,), (p,), (lam,), seed=seed, trials=trials)
     if args.shape == "thin":
         ell, lower_target = math.nan, 0.5 * lam * r * r
     else:
@@ -226,7 +227,6 @@ def cmd_worstcase(args) -> int:
         region = build_thin_rectangle(r) if args.shape == "thin" else build_comb(r, ell)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    check_inputs((r,), (p,), (lam,), (region,), seed=seed, trials=trials)
     rows = [next(_cells(seed, lam, t, (region,), (p,), (r,), SINGLE_ROUND))[2]
             for t in range(trials)]
     t2 = bounds_mod.thm2_upper(lam, r, region.perimeter, region.components)

@@ -189,7 +189,7 @@ class GridError(ValueError):
     """A command input outside the domain of the model or its bounds."""
 
 
-def check_inputs(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int = 1,
+def check_inputs(r_values, p_values, lam_values, *, seed: int = 0, trials: int = 1,
                  workers: int = 1) -> None:
     """Raise a GridError for a grid, seed, trial count or worker count the model cannot run.
 
@@ -202,7 +202,7 @@ def check_inputs(r_values, p_values, lam_values, regions, *, seed: int = 0, tria
         raise GridError("trials must be at least 1")
     if workers < 1:
         raise GridError("workers must be at least 1")
-    if not (r_values and p_values and lam_values and regions):
+    if not (r_values and p_values and lam_values):
         raise GridError("grids must be nonempty")
     for lam in lam_values:
         if not lam > 0:
@@ -223,7 +223,9 @@ def bound_table(r_values, p_values, lam_values, regions) -> list:
     Checks the grids first and evaluates no field, so a sweep whose grid or
     bounds are out of domain fails with a GridError before it samples anything.
     """
-    check_inputs(r_values, p_values, lam_values, regions)
+    check_inputs(r_values, p_values, lam_values)
+    if not regions:
+        raise GridError("grids must be nonempty")
     for r in r_values:
         if 4.0 * math.pi * r * r < sys.float_info.min:  # Theorem 1's lower bound divides by it
             raise GridError(f"r={r} is too small: 4*pi*r^2 underflows")
@@ -252,8 +254,7 @@ def sweep(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int
     p_values = tuple(float(v) for v in p_values)
     lam_values = tuple(float(v) for v in lam_values)
     regions = tuple(regions)
-    check_inputs(r_values, p_values, lam_values, regions, seed=seed, trials=trials,
-                 workers=workers)
+    check_inputs(r_values, p_values, lam_values, seed=seed, trials=trials, workers=workers)
     reports = iter(bound_table(r_values, p_values, lam_values, regions))
     shape = (len(regions), len(lam_values), len(p_values), len(r_values),
              trials, len(METRIC_FIELDS))

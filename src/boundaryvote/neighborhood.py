@@ -52,8 +52,9 @@ k*n + j for each such pair i < j, so it has one entry per pair, each an
 int32 one. With x a vector tiled R times, row k*n + i of B @ x + B.T @ x
 sums x over the neighbors of i in bin k. The cumulative sum over the radius
 axis of that (R, n) result is every radius's sums. `counts` is the tally of
-the all-ones vector. B and the counts are built with the listing; only U
-and the tally words wait for their first use.
+the all-ones vector. B and the counts are built with the listing, and the
+tally words when their vectors are handed over; only U waits for its first
+use.
 
 A radius's CSR arrays are built in one place, the listing's U at that
 radius, and a view reads only B and that U. At k = 0, for any number of
@@ -73,13 +74,13 @@ int32 products and the prefix sum add lanes without a carry crossing one,
 because every partial sum of a lane is nonnegative and at most the lane's
 final count, which is at most M < 2**w; so (row >> w*l) & (2**w - 1) is
 vector l's exact sums. The vectors handed to `share_tallies` are packed q at
-a time, in the order given, and a vector that was not handed over is shared
-alone, in place of those before it. The listing keeps the (R, n) tally of
-every word of shared vectors from its first use until vectors are shared
-again, so each word is tallied once whatever order the views ask in; for V
-shared vectors that costs ceil(V/q)*R*n*4 bytes. A vector is answered from
-a word only when it equals one of the copies in its lanes, so a vector
-changed in place is never answered from a stale tally.
+a time, in the order given, and each word is tallied at once, so it is
+tallied once whatever order the views ask in. The listing keeps the (R, n)
+tally of every word until vectors are handed over again, ceil(V/q)*R*n*4
+bytes for V vectors, and finds each vector's word and lane by the vector's
+bytes. So a copy of a vector is answered from its word, and a vector changed
+in place is never answered from a stale tally. A vector that was not handed
+over is shared alone, in place of those before it.
 
 Multi-round voting sums real scores with two sparse matrix-vector products,
 `weighted_sums(v) = U @ v + U.T @ v`. U is the upper adjacency in CSR form:
@@ -219,19 +220,18 @@ class _Listing:
     """One field's pair listing for a fixed set of radii, and the state its views share."""
 
     def __init__(self, positions: np.ndarray, radii: list[float]):
-        self.positions = positions
         self.n = positions.shape[0]
         self.radii = radii  # sorted and unique: the last is the listing's own
         self.s = max(self.n - 1, 0).bit_length()  # bits of a sensor id in a packed key
         self.key_type = _key_type(2 * self.s)
-        self.block = self._block(self._list())  # (B, B.T)
+        self.block = self._block(self._list(positions))  # (B, B.T)
         self.counts = self.tally(np.ones(self.n, dtype=np.int32)).astype(np.int64)
         self.counts.flags.writeable = False  # so is each view's row of it
         self.w, self.q = _lanes(self.counts[-1].max(initial=0))
         self._upper = None  # the one U held, as (k, U, U.T)
         self.share([])
 
-    def _list(self) -> list[list[np.ndarray]]:
+    def _list(self, positions: np.ndarray) -> list[list[np.ndarray]]:
         """Packed keys (i << s) | j of all pairs i < j within the widest radius, by radius bin.
 
         A pair's bin is the number of smaller radii whose closed ball misses
@@ -241,7 +241,7 @@ class _Listing:
         """
         radii, s, key_type = self.radii, self.s, self.key_type
         r2 = radii[-1] * radii[-1]
-        order, x, y, starts, sizes, owners = _sweep(self.positions, _reach(r2))
+        order, x, y, starts, sizes, owners = _sweep(positions, _reach(r2))
         ids = order.astype(key_type)
         ends = np.cumsum(sizes)  # candidates through each range
         keys = np.empty(ends[-1] if ends.size and len(radii) == 1 else 0, dtype=key_type)
@@ -340,32 +340,30 @@ class _Listing:
         return np.cumsum(flat.reshape(len(self.radii), self.n), axis=0, dtype=np.int32)
 
     def share(self, vectors) -> None:
-        """Keep copies of the vectors to pack q to a word, and forget every word's tally."""
-        self.shared = [np.array(v, dtype=bool) for v in vectors]
-        self._tallies = {}
+        """Tally the 0/1 vectors q to a word, in the order given, in place of every earlier word.
 
-    def _pack(self, lanes) -> np.ndarray:
-        """The (R, n) tally of one int32 word that holds the 0/1 vectors lanes, in order."""
-        word = np.zeros(self.n, dtype=np.int32)
-        for shift, held in enumerate(lanes):
-            word |= held.astype(np.int32) << (self.w * shift)
-        return self.tally(word)
+        Lane l of a word holds its l-th vector shifted left by w*l. Each
+        vector's bytes map to its (lane, (R, n) tally of its word).
+        """
+        vectors = [np.asarray(v, dtype=bool) for v in vectors]
+        self.words = {}
+        for first in range(0, len(vectors), self.q):
+            group = vectors[first:first + self.q]
+            word = np.zeros(self.n, dtype=np.int32)
+            for lane, v in enumerate(group):
+                word |= v.astype(np.int32) << (self.w * lane)
+            tally = self.tally(word)
+            self.words.update((v.tobytes(), (lane, tally)) for lane, v in enumerate(group))
 
     def lane(self, v: np.ndarray) -> tuple[int, np.ndarray]:
-        """(lane, (R, n) tally) of a word that holds v.
+        """(lane, (R, n) tally) of the word that holds a vector with v's bytes.
 
-        A shared vector is answered from its group's word, tallied at its
-        first use and kept. A vector that was not handed over is shared alone.
+        A vector that was not handed over is shared alone.
         """
-        q = self.q
-        for k, held in enumerate(self.shared):
-            if np.array_equal(held, v):
-                word = k // q
-                if word not in self._tallies:
-                    self._tallies[word] = self._pack(self.shared[word * q:word * q + q])
-                return k % q, self._tallies[word]
-        self.share([v])
-        return self.lane(v)
+        key = v.tobytes()
+        if key not in self.words:
+            self.share([v])
+        return self.words[key]
 
 
 class NeighborIndex:
@@ -375,10 +373,6 @@ class NeighborIndex:
         self._listing = listing
         self._k = k
         self.r = listing.radii[k]
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._listing.positions
 
     @property
     def n(self) -> int:
@@ -414,8 +408,9 @@ class NeighborIndex:
     def share_tallies(self, vectors) -> None:
         """Hand over the boolean vectors that `count_sums` will be asked for.
 
-        The listing keeps copies and tallies them q to a word, so the vectors
-        of one word, at every radius, cost one pair of products.
+        The listing tallies them q to a word at once, so the vectors of one
+        word, at every radius, cost one pair of products, and it finds each
+        vector asked for by its bytes.
         """
         self._listing.share(vectors)
 

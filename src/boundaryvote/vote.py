@@ -78,7 +78,9 @@ def multi_round(field, index: NeighborIndex, t: int, keep_history: bool = False)
     index's exact `count_sums`, which the cuts of a sweep field answer from
     one prefix tally, and they equal the float products of the later rounds
     bit for bit, since every partial sum is an integer below 2**53. With
-    t = 1 the decisions are exactly those of majority_round.
+    t = 1 the decisions are exactly those of majority_round. Where no sensor
+    has a neighbor no score changes after round 1, so the later rounds are not
+    run: rounds_executed is still t, and a kept history has t entries.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -91,7 +93,7 @@ def multi_round(field, index: NeighborIndex, t: int, keep_history: bool = False)
     has_neighbors = k > 0
     safe_k = np.maximum(k, 1).astype(float)
     history = [] if keep_history else None
-    for round_index in range(t):
+    for round_index in range(t if has_neighbors.any() else 1):
         if round_index == 0:
             sums = (2 * index.count_sums(measured) - k).astype(float)
         else:
@@ -100,6 +102,8 @@ def multi_round(field, index: NeighborIndex, t: int, keep_history: bool = False)
         np.copyto(decided, score > 0.0, where=score != 0.0)  # an exact zero keeps the decision
         if history is not None:
             history.append(score.copy())
+    if history is not None:
+        history += [score.copy() for _ in range(t - len(history))]
     return VoteOutcome(decided=decided, rounds_executed=t, score_history=history)
 
 

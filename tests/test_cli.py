@@ -138,7 +138,8 @@ class TestExitCodes:
         ("lambda", "0", "lambda=0.0 must be positive"),
         ("seed", "-1", "seed must be nonnegative"),
         ("trials", "0", "trials must be at least 1"),
-    ], ids=["p", "lambda", "seed", "trials"])
+        ("r", "-1", "r=-1.0 must be positive"),
+    ], ids=["p", "lambda", "seed", "trials", "r"])
     def test_every_command_checks_inputs_alike(self, command, option, value, message,
                                                monkeypatch, tmp_path, capsys):
         def no_sampling(*args, **kwargs):
@@ -148,7 +149,7 @@ class TestExitCodes:
         argv = {"simulate": ["simulate"], "worstcase": ["worstcase", "--shape", "comb"],
                 "render": ["render", "--out", str(tmp_path / "trial.svg")],
                 "sweep": ["sweep"]}[command]
-        grid = command == "sweep" and option in ("p", "lambda")
+        grid = command == "sweep" and option in ("p", "lambda", "r")
         argv += [f"--{option}-values" if grid else f"--{option}", value]
         if option != "trials":
             argv += ["--trials", "1"]

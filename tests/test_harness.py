@@ -113,7 +113,7 @@ class TestSeeding:
 
     def test_validation(self):
         def check(lam=800.0, p=0.2, r=0.05, trials=1):
-            harness.check_inputs((r,), (p,), (lam,), (region_xs(),), seed=7, trials=trials)
+            harness.check_inputs((r,), (p,), (lam,), seed=7, trials=trials)
 
         check()
         with pytest.raises(harness.GridError):
@@ -122,6 +122,8 @@ class TestSeeding:
             check(r=0.0)
         with pytest.raises(harness.GridError):
             check(trials=0)
+        with pytest.raises(harness.GridError, match="grids must be nonempty"):
+            sweep(RADII, (0.2,), (800.0,), ())
 
 
 class TestSweep:

@@ -139,9 +139,9 @@ class TestBuildIndexes:
         calls = {"listings": 0, "row_pointers": 0}
         listing = _Listing._list
 
-        def list_pairs(self):
+        def list_pairs(self, positions):
             calls["listings"] += 1
-            return listing(self)
+            return listing(self, positions)
 
         def sorted_csr(key, s, n):
             calls["row_pointers"] += 1
@@ -416,7 +416,7 @@ class TestPrefixTally:
         rng = np.random.default_rng(59)
         field = make_field(rng.random(3000), rng.random(3000))
         index = build_index(field, 0.04)
-        raw = cKDTree(index.positions).query_pairs(0.04, output_type="ndarray")
+        raw = cKDTree(np.column_stack((field.x, field.y))).query_pairs(0.04, output_type="ndarray")
         order = np.lexsort((raw[:, 1], raw[:, 0]))
         assert np.array_equal(index.pairs[0], raw[order, 0])
         assert np.array_equal(index.pairs[1], raw[order, 1])
@@ -429,7 +429,7 @@ class TestPrefixTally:
         wide, cut = build_indexes(field, (r, r / 2))
         values = rng.random(n) < 0.5
         self.assert_matches_fresh(field, [wide, cut], values)
-        raw = cKDTree(wide.positions).query_pairs(r, output_type="ndarray")
+        raw = cKDTree(np.column_stack((field.x, field.y))).query_pairs(r, output_type="ndarray")
         order = np.lexsort((raw[:, 1], raw[:, 0]))
         for index in (wide, build_index(field, r)):  # after a tally, and alone
             assert np.array_equal(index.pairs[0], raw[order, 0])
@@ -825,6 +825,25 @@ class TestTallyCount:
             fresh = build_index(field, index.r)
             assert np.array_equal(got, fresh.count_sums(alone)), index.r
             assert np.array_equal(index.count_sums(shared), fresh.count_sums(shared)), index.r
+
+    def test_copy_of_shared_vector_read_from_its_word(self, tallies):
+        # a vector is found by its bytes, not by the object handed over
+        rng = np.random.default_rng(83)
+        field = make_field(rng.random(500), rng.random(500))
+        indexes = build_indexes(field, (0.08, 0.04))
+        vectors = [rng.random(500) < 0.5 for _ in range(3)]
+        indexes[0].share_tallies(vectors)
+        want = [[index.count_sums(values) for values in vectors] for index in indexes]
+        tallies.clear()
+        for index, sums in zip(indexes, want):
+            for values, expected in zip(vectors, sums):
+                for copy in (values.copy(), values.tolist()):
+                    assert np.array_equal(index.count_sums(copy), expected), index.r
+        assert tallies == []
+        for index, sums in zip(indexes, want):
+            fresh = build_index(field, index.r)
+            for values, expected in zip(vectors, sums):
+                assert np.array_equal(fresh.count_sums(values), expected), index.r
 
 
 class TestOneUpper:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundaryvote.neighborhood import build_index, build_indexes
+from boundaryvote.neighborhood import NeighborIndex, build_index, build_indexes
 from boundaryvote.sampling import SensorField, assign_measurements, sample_field
 from boundaryvote.geometry import region_xs
 from boundaryvote.vote import (SINGLE_ROUND, VoteMode, majority_round,
@@ -118,13 +118,25 @@ class TestMultiRound:
             for score in out.score_history:
                 assert np.all(score == 1.0)
 
-    def test_isolated_sensor_any_t(self):
+    def test_isolated_sensor_any_t(self, monkeypatch):
+        # no score can change after round 1, so no later round is run
+        calls = []
+        weighted_sums = NeighborIndex.weighted_sums
+
+        def counted(self, values):
+            calls.append(1)
+            return weighted_sums(self, values)
+
+        monkeypatch.setattr(NeighborIndex, "weighted_sums", counted)
         field = measured_field([0.1, 0.9], [0.1, 0.9], [True, False])
         index = build_index(field, 0.05)
-        for t in (1, 2, 10):
-            out = multi_round(field, index, t)
+        for t in (1, 2, 10, 10**4):
+            calls.clear()
+            out = multi_round(field, index, t, keep_history=True)
             assert out.decided.tolist() == [True, False]
-            assert out.rounds_executed == t
+            assert out.rounds_executed == len(out.score_history) == t
+            assert len(calls) <= 1, t
+            assert all(np.array_equal(score, [1.0, -1.0]) for score in out.score_history)
 
     def test_scores_stay_in_unit_interval(self):
         rng = np.random.default_rng(11)
