@@ -118,6 +118,11 @@ def _one_cell(args) -> tuple:
     trials = _get(cfg, "trials", args.trials, 1, int)
     mode = _vote_mode(cfg, args)
     check_inputs((r,), (p,), (lam,), seed=seed, trials=trials)
+    if mode.kind == "multi":
+        try:
+            round_count(p, r, mode.c)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     region = build_region(cfg, args)
     return seed, lam, region, p, r, mode, trials
 
@@ -142,7 +147,7 @@ def _floats(text: str) -> tuple:
 
 def _grids(args) -> tuple:
     """The (r, p, lambda) grids of a sweep or bound table; the paper's where not given."""
-    return tuple(_floats(text) if text else grid for text, grid in (
+    return tuple(grid if text is None else _floats(text) for text, grid in (
         (args.r_values, PAPER_R_GRID), (args.p_values, PAPER_P_GRID),
         (args.lambda_values, PAPER_LAM_GRID)))
 
@@ -185,7 +190,7 @@ def cmd_sweep(args) -> int:
     for name in names:
         if name not in NAMED_REGIONS:
             raise ConfigError(f"unknown sweep region {name!r} (expected xs or xl)")
-    regions = [NAMED_REGIONS[name]() for name in names or NAMED_REGIONS]
+    regions = [NAMED_REGIONS[name]() for name in names]
     result = sweep(r_values, p_values, lam_values, regions, seed=seed,
                    trials=trials, mode=mode, workers=args.workers)
     with _output(args.out) as fh:

@@ -502,9 +502,6 @@ class ZoneArea:
     analytic: bool
     clipped: bool
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _zone_clips_unit_square(region, r: float) -> bool:
     # tol absorbs rounding in the bbox: XL's band at r = 0.1 touches bd(Y)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -26,26 +27,14 @@ from .sampling import assign_measurements_at, sample_field
 from .vote import SINGLE_ROUND, VoteMode, run_vote
 
 
-@dataclass(frozen=True)
-class TrialMetrics:
-    n_sensors: int
-    initial_errors: int
-    final_errors: int
-    corrected: int
-    new_errors: int
-    errors_in_zr: int
-    errors_in_zr_and_x: int
-    errors_outside_zr: int
-    correction_rate: float        # net: (initial - final) / initial
-    gross_correction_rate: float  # corrected / initial
-    degenerate: bool = False      # initial_errors == 0; rates defined as 1
-
-
 METRIC_FIELDS = (
     "n_sensors", "initial_errors", "final_errors", "corrected", "new_errors",
     "errors_in_zr", "errors_in_zr_and_x", "errors_outside_zr",
-    "correction_rate", "gross_correction_rate",
+    "correction_rate",        # net: (initial - final) / initial
+    "gross_correction_rate",  # corrected / initial
 )
+
+TrialMetrics = namedtuple("TrialMetrics", METRIC_FIELDS)
 
 CSV_COLUMNS = (
     "region", "lambda", "p", "r", "mode", "trials",
@@ -64,7 +53,10 @@ def trial_seed(master_seed: int, lam: float, trial_index: int) -> int:
 
 
 def compute_metrics(truth, measured, decided, signed_dist, r: float) -> TrialMetrics:
-    """Bucket final decisions against ground truth, split by the band Z_r."""
+    """Bucket final decisions against ground truth, split by the band Z_r.
+
+    Both correction rates are 1 when the trial has no initial error.
+    """
     wrong0 = measured != truth
     wrong1 = decided != truth
     in_zr = np.abs(signed_dist) <= r
@@ -75,9 +67,8 @@ def compute_metrics(truth, measured, decided, signed_dist, r: float) -> TrialMet
     new_errors = int(np.count_nonzero(~wrong0 & wrong1))
     errors_in_zr = int(np.count_nonzero(wrong1 & in_zr))
     errors_in_zr_and_x = int(np.count_nonzero(wrong1 & in_zr & in_x))
-    degenerate = initial == 0
-    net = 1.0 if degenerate else (initial - final) / initial
-    gross = 1.0 if degenerate else corrected / initial
+    net = 1.0 if initial == 0 else (initial - final) / initial
+    gross = 1.0 if initial == 0 else corrected / initial
     return TrialMetrics(
         n_sensors=truth.shape[0],
         initial_errors=initial,
@@ -89,7 +80,6 @@ def compute_metrics(truth, measured, decided, signed_dist, r: float) -> TrialMet
         errors_outside_zr=final - errors_in_zr,
         correction_rate=net,
         gross_correction_rate=gross,
-        degenerate=degenerate,
     )
 
 
@@ -129,30 +119,11 @@ def mean_and_se(values) -> tuple[float, float]:
 # Sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    region: str
-    lam: float
-    p: float
-    r: float
-    mode: str
-    trials: int
-    n_sensors_mean: float
-    initial_errors_mean: float
-    final_errors_mean: float
-    final_errors_se: float
-    corrected_mean: float
-    new_errors_mean: float
-    errors_in_zr_mean: float
-    errors_in_zr_and_x_mean: float
-    errors_outside_zr_mean: float
-    correction_rate_mean: float
-    gross_correction_rate_mean: float
-    thm1_upper: float
-    thm1_lower: float
-    thm2_upper: float
-    thm3_upper: float
-    combined_upper: float
+# a sweep cell: its grid point, each metric's trial mean, the SE of the
+# final-error mean, and the bound report's columns, which close CSV_COLUMNS
+SweepRow = namedtuple("SweepRow", (
+    "region", "lam", "p", "r", "mode", "trials", *(f"{name}_mean" for name in METRIC_FIELDS),
+    "final_errors_se", *CSV_COLUMNS[-5:]))
 
 
 @dataclass(frozen=True)
@@ -179,7 +150,7 @@ class SweepResult:
 def _field_unit(master_seed, lam, trial, regions, p_values, r_values, mode):
     """All metrics of one sampled field, shaped (regions, p values, r values, metrics)."""
     cells = _cells(master_seed, lam, trial, regions, p_values, r_values, mode)
-    out = np.array([[getattr(m, f) for f in METRIC_FIELDS] for _, _, m in cells], dtype=float)
+    out = np.array([m for _, _, m in cells], dtype=float)
     radii = list(dict.fromkeys(float(r) for r in r_values))  # the distinct radii _cells runs
     out = out.reshape(len(radii), len(regions), len(p_values), len(METRIC_FIELDS))
     return out.transpose(1, 2, 0, 3)[:, :, [radii.index(float(r)) for r in r_values]]
@@ -277,17 +248,11 @@ def sweep(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int
             for pi, p in enumerate(p_values):
                 for ri, r in enumerate(r_values):
                     cell = per_trial[gi, li, pi, ri]  # (trials, metrics)
-                    means = {f"{name}_mean": float(v)
-                             for name, v in zip(METRIC_FIELDS, cell.mean(axis=0))}
-                    se = mean_and_se(cell[:, fi])[1]
                     b = next(reports)
                     rows.append(SweepRow(
-                        region=region.name, lam=lam, p=p, r=r,
-                        mode=mode.kind, trials=trials, final_errors_se=se, **means,
-                        thm1_upper=b.thm1_upper, thm1_lower=b.thm1_lower,
-                        thm2_upper=b.thm2_upper, thm3_upper=b.thm3_upper,
-                        combined_upper=b.combined_upper,
-                    ))
+                        region.name, lam, p, r, mode.kind, trials,
+                        *map(float, cell.mean(axis=0)), mean_and_se(cell[:, fi])[1],
+                        *(getattr(b, name) for name in CSV_COLUMNS[-5:])))
     return SweepResult(rows=rows, regions=regions, lam_values=lam_values,
                        p_values=p_values, r_values=r_values, mode=mode,
                        seed=seed, trials=trials, per_trial=per_trial)

@@ -28,7 +28,6 @@ class SensorField:
     y: np.ndarray
     lam: float
     seed: int
-    region_name: str | None = None
     p: float | None = None
     truth: np.ndarray | None = None
     measured: np.ndarray | None = None
@@ -71,8 +70,7 @@ def assign_measurements_at(field: SensorField, region, p_values, seed: int | Non
     sd = np.asarray(region.signed_distance(field.x, field.y), dtype=float)
     truth = sd >= 0.0
     u = _stream(seed, _STREAM_FLIPS).random(field.n)
-    return [replace(field, region_name=getattr(region, "name", None), p=float(p),
-                    truth=truth, measured=truth ^ (u < p), boundary_dist=sd)
+    return [replace(field, p=float(p), truth=truth, measured=truth ^ (u < p), boundary_dist=sd)
             for p in p_values]
 
 

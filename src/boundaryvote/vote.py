@@ -62,12 +62,15 @@ def majority_round(field, index: NeighborIndex) -> VoteOutcome:
 
 
 def round_count(p: float, r: float, c: float) -> int:
-    """Number of refinement rounds t = max(ceil(c*p/r), 1)."""
+    """Number of refinement rounds t = max(ceil(c*p/r), 1); a c*p/r that overflows raises."""
     if not 0.0 <= p <= 0.5:
         raise ValueError("p must lie in [0, 1/2]")
     if r <= 0 or c <= 0:
         raise ValueError("r and c must be positive")
-    return max(math.ceil(c * p / r - 1e-9), 1)
+    ratio = c * p / r
+    if not math.isfinite(ratio):
+        raise ValueError(f"r={r} is too small: c*p/r overflows")
+    return max(math.ceil(ratio - 1e-9), 1)
 
 
 def multi_round(field, index: NeighborIndex, t: int, keep_history: bool = False) -> VoteOutcome:

@@ -127,6 +127,17 @@ class TestExitCodes:
          "--trials", "1"],
         ["worstcase", "--shape", "comb", "--r", "1e-9", "--ell", "0.4", "--trials", "1"],
         ["bounds", "--region-type", "comb", "--r", "1e-9", "--region-ell", "0.4"],
+        ["simulate", "--mode", "multi", "--r", "1e-320", "--p", "0.3", "--lambda", "100",
+         "--trials", "1"],
+        ["render", "--mode", "multi", "--r", "1e-320", "--p", "0.3", "--lambda", "100",
+         "--out", "unused.svg"],
+        ["sweep", "--r-values", "", "--p-values", "0.1", "--lambda-values", "100",
+         "--trials", "1"],
+        ["bounds", "--p-values", "", "--r-values", "0.05", "--lambda-values", "100"],
+        ["sweep", "--lambda-values", "", "--r-values", "0.05", "--p-values", "0.1",
+         "--trials", "1"],
+        ["sweep", "--regions", ",", "--r-values", "0.05", "--p-values", "0.1",
+         "--lambda-values", "100", "--trials", "1"],
     ])
     def test_bad_inputs_return_2(self, argv, capsys):
         assert main(argv) == 2

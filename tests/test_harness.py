@@ -83,7 +83,7 @@ class TestTrialMetrics:
         assert m.final_errors == m.new_errors
         assert m.errors_outside_zr == 0
         assert m.correction_rate == 1.0 and m.gross_correction_rate == 1.0
-        assert m.degenerate
+        assert m.initial_errors == 0
 
     def test_correction_rates(self):
         m = small_config(seed=11).trial(0)[2]

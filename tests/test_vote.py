@@ -88,6 +88,7 @@ class TestRoundCount:
     def test_floor_at_one(self):
         assert round_count(0.0, 0.05, 0.5) == 1
         assert round_count(0.01, 0.5, 0.5) == 1
+        assert round_count(0.0, 1e-320, 0.5) == 1  # no overflow at p = 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -96,6 +97,8 @@ class TestRoundCount:
             round_count(0.1, 0.0, 0.5)
         with pytest.raises(ValueError):
             round_count(0.1, 0.05, 0.0)
+        with pytest.raises(ValueError, match="c\\*p/r overflows"):
+            round_count(0.3, 1e-320, 0.5)
 
 
 class TestMultiRound:
