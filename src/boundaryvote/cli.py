@@ -16,8 +16,9 @@ import sys
 
 from . import bounds as bounds_mod
 from .geometry import RoundedRect, build_comb, build_thin_rectangle, region_xl, region_xs
-from .harness import (METRIC_FIELDS, GridError, best_radius, bound_table, check_inputs,
-                      mean_and_se, sweep, write_sweep_csv, _cells, _fmt, _write_table)
+from .harness import (CSV_COLUMNS, METRIC_FIELDS, GridError, best_radius, bound_table,
+                      check_inputs, mean_and_se, run_units, sweep, write_sweep_csv, _cells,
+                      _fmt, _write_table)
 from .render import render_field
 from .sampling import write_field_csv
 from .vote import SINGLE_ROUND, multi_round_mode, round_count
@@ -164,18 +165,16 @@ def _output(path):
 
 def cmd_simulate(args) -> int:
     seed, lam, region, p, r, mode, trials = _one_cell(args)
-    rows = []
-    for t in range(trials):
-        field, _, metrics = next(_cells(seed, lam, t, (region,), (p,), (r,), mode))
-        if t == 0 and args.dump_field:
-            write_field_csv(field, args.dump_field)
-        rows.append(metrics)
+    if args.dump_field:
+        field, _, _ = next(_cells(seed, lam, 0, (region,), (p,), (r,), mode))
+        write_field_csv(field, args.dump_field)
+    cell = run_units(seed, (lam,), trials, (region,), (p,), (r,), mode)[0, 0, 0, 0]
     print(f"region={region.name} lambda={_fmt(lam)} p={_fmt(p)} "
           f"r={_fmt(r)} mode={mode.kind} trials={trials}")
     if mode.kind == "multi":
         print(f"rounds={round_count(p, r, mode.c)}")
-    for name in METRIC_FIELDS:
-        mean, se = mean_and_se([getattr(m, name) for m in rows])
+    for name, values in zip(METRIC_FIELDS, cell.T):
+        mean, se = mean_and_se(values)
         print(f"{name}_mean={mean:.6g} se={se:.4g}")
     return 0
 
@@ -208,11 +207,9 @@ def cmd_bounds(args) -> int:
     reports = bound_table(*_grids(args), [region])
     with _output(args.out) as fh:
         _write_table(fh, ("region", "lambda", "p", "r", "zr_area", "area_outside",
-                          "thm1_upper", "thm1_lower", "thm2_upper", "thm3_upper",
-                          "combined_upper"),
-                     ([region.name, b.lam, b.p, b.r, b.zr_area, b.area_outside, b.thm1_upper,
-                       b.thm1_lower, b.thm2_upper, b.thm3_upper, b.combined_upper]
-                      for b in reports))
+                          *CSV_COLUMNS[-5:]),
+                     ([region.name, b.lam, b.p, b.r, b.zr_area, b.area_outside,
+                       *(getattr(b, name) for name in CSV_COLUMNS[-5:])] for b in reports))
     return 0
 
 
@@ -224,6 +221,8 @@ def cmd_worstcase(args) -> int:
     seed = _get({}, "seed", args.seed, 0, int)
     check_inputs((r,), (p,), (lam,), seed=seed, trials=trials)
     if args.shape == "thin":
+        if args.ell is not None:
+            raise ConfigError("--ell applies only to --shape comb")
         ell, lower_target = math.nan, 0.5 * lam * r * r
     else:
         ell = _get({}, "ell", args.ell, 8 * r, float)
@@ -232,15 +231,14 @@ def cmd_worstcase(args) -> int:
         region = build_thin_rectangle(r) if args.shape == "thin" else build_comb(r, ell)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = [next(_cells(seed, lam, t, (region,), (p,), (r,), SINGLE_ROUND))[2]
-            for t in range(trials)]
+    per_trial = run_units(seed, (lam,), trials, (region,), (p,), (r,), SINGLE_ROUND)
+    metric = dict(zip(METRIC_FIELDS, per_trial[0, 0, 0, 0].T))  # name -> its trial values
     t2 = bounds_mod.thm2_upper(lam, r, region.perimeter, region.components)
     with _output(args.out) as fh:
         _write_table(fh, ("shape", "lambda", "p", "r", "ell", "trials", "n_sensors_mean",
                           "errors_in_zr_mean", "errors_in_zr_se", "thm2_upper", "lower_target"),
-                     [[args.shape, lam, p, r, ell, trials,
-                       mean_and_se([m.n_sensors for m in rows])[0],
-                       *mean_and_se([m.errors_in_zr for m in rows]), t2, lower_target]])
+                     [[args.shape, lam, p, r, ell, trials, mean_and_se(metric["n_sensors"])[0],
+                       *mean_and_se(metric["errors_in_zr"]), t2, lower_target]])
     return 0
 
 

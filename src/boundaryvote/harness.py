@@ -1,5 +1,11 @@
 """Experiment orchestration: trials, parameter sweeps, metrics, bound tables.
 
+One runner, `run_units`, runs every trial: it fills a grid's per-trial
+metric array, one sampled (lam, trial) field per work unit. A sweep takes two
+steps: `run_units`, then `sweep`'s tabulation of that array into rows beside
+the grid's bound table. `simulate` and `worstcase` read the same array for
+their one cell and evaluate no bound.
+
 Seeding: each trial draws its randomness from sub-streams keyed only by
 (master seed, lam, trial index). The region, the error probability p, and the
 radius r are deliberately excluded, so every cell of a sweep that shares
@@ -212,25 +218,17 @@ def bound_table(r_values, p_values, lam_values, regions) -> list:
     return reports
 
 
-def sweep(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int = 1,
-          mode: VoteMode = SINGLE_ROUND, workers: int = 1) -> SweepResult:
-    """Cartesian sweep with per-cell trial aggregation and bound reports.
+def run_units(seed, lam_values, trials, regions, p_values, r_values, mode,
+              workers=1) -> np.ndarray:
+    """Every trial's metrics, shaped (regions, lams, ps, rs, trials, metrics).
 
     Work units are (lam, trial) fields; each unit evaluates every region, p,
-    and r on the same sampled positions. Reduction runs in fixed grid/trial
-    order, so the output is identical for any worker count. The grids and
-    the bounds are checked before any field is sampled.
+    and r on the same sampled positions. The units fill the array in fixed
+    lam/trial order, so it is identical for any worker count. The caller
+    checks the inputs.
     """
-    r_values = tuple(float(v) for v in r_values)
-    p_values = tuple(float(v) for v in p_values)
-    lam_values = tuple(float(v) for v in lam_values)
-    regions = tuple(regions)
-    check_inputs(r_values, p_values, lam_values, seed=seed, trials=trials, workers=workers)
-    reports = iter(bound_table(r_values, p_values, lam_values, regions))
-    shape = (len(regions), len(lam_values), len(p_values), len(r_values),
-             trials, len(METRIC_FIELDS))
-    per_trial = np.empty(shape)
-
+    per_trial = np.empty((len(regions), len(lam_values), len(p_values), len(r_values),
+                          trials, len(METRIC_FIELDS)))
     units = [(li, t) for li in range(len(lam_values)) for t in range(trials)]
     unit = functools.partial(_field_unit, seed, regions=regions, p_values=p_values,
                              r_values=r_values, mode=mode)
@@ -240,19 +238,34 @@ def sweep(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int
             unit, [lam_values[li] for li, _ in units], [t for _, t in units])
         for li, t in units:  # no name holds a unit's metrics while the next one runs
             per_trial[:, li, :, :, t, :] = next(results)
+    return per_trial
+
+
+def sweep(r_values, p_values, lam_values, regions, *, seed: int = 0, trials: int = 1,
+          mode: VoteMode = SINGLE_ROUND, workers: int = 1) -> SweepResult:
+    """Cartesian sweep: run_units' per-trial metrics, aggregated per cell beside its bounds.
+
+    The grids and the bounds are checked before any field is sampled.
+    Reduction runs in fixed grid/trial order, so the output is identical for
+    any worker count.
+    """
+    r_values = tuple(float(v) for v in r_values)
+    p_values = tuple(float(v) for v in p_values)
+    lam_values = tuple(float(v) for v in lam_values)
+    regions = tuple(regions)
+    check_inputs(r_values, p_values, lam_values, seed=seed, trials=trials, workers=workers)
+    reports = bound_table(r_values, p_values, lam_values, regions)
+    per_trial = run_units(seed, lam_values, trials, regions, p_values, r_values, mode, workers)
 
     rows = []
     fi = METRIC_FIELDS.index("final_errors")
-    for gi, region in enumerate(regions):
-        for li, lam in enumerate(lam_values):
-            for pi, p in enumerate(p_values):
-                for ri, r in enumerate(r_values):
-                    cell = per_trial[gi, li, pi, ri]  # (trials, metrics)
-                    b = next(reports)
-                    rows.append(SweepRow(
-                        region.name, lam, p, r, mode.kind, trials,
-                        *map(float, cell.mean(axis=0)), mean_and_se(cell[:, fi])[1],
-                        *(getattr(b, name) for name in CSV_COLUMNS[-5:])))
+    # the grid axes in bound table order (region, lam, p, r)
+    for (gi, li, pi, ri), b in zip(np.ndindex(per_trial.shape[:4]), reports):
+        cell = per_trial[gi, li, pi, ri]  # (trials, metrics)
+        rows.append(SweepRow(
+            regions[gi].name, lam_values[li], p_values[pi], r_values[ri], mode.kind, trials,
+            *map(float, cell.mean(axis=0)), mean_and_se(cell[:, fi])[1],
+            *(getattr(b, name) for name in CSV_COLUMNS[-5:])))
     return SweepResult(rows=rows, regions=regions, lam_values=lam_values,
                        p_values=p_values, r_values=r_values, mode=mode,
                        seed=seed, trials=trials, per_trial=per_trial)

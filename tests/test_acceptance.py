@@ -21,7 +21,8 @@ from boundaryvote.cli import PAPER_LAM_GRID, PAPER_P_GRID, PAPER_R_GRID
 from boundaryvote.geometry import (build_comb, build_thin_rectangle,
                                    dubious_zone_area, region_xl, region_xs)
 from boundaryvote.geometry import _zone_area_mc
-from boundaryvote.harness import METRIC_FIELDS, _cells, best_radius, sweep, sweep_csv_string
+from boundaryvote.harness import (METRIC_FIELDS, _cells, best_radius, run_units, sweep,
+                                  sweep_csv_string)
 from boundaryvote.neighborhood import build_index, neighbors_within
 from boundaryvote.sampling import SensorField
 from boundaryvote.vote import SINGLE_ROUND, majority_round, multi_round, multi_round_mode
@@ -199,9 +200,9 @@ def test_criterion_04_thm2_thm3_dominance(dominance_sweep):
 def test_criterion_05_worstcase_lower_bounds():
     lam, p, r, trials, ell = 20000.0, 0.25, 0.05, 200, 0.4
     # both shapes run on the same fields, as `worstcase` draws them at seed 0
-    res = sweep((r,), (p,), (lam,), (build_thin_rectangle(r), build_comb(r, ell)),
-                seed=0, trials=trials)
-    in_zr = res.per_trial[:, 0, 0, 0, :, METRIC_FIELDS.index("errors_in_zr")]
+    per_trial = run_units(0, (lam,), trials, (build_thin_rectangle(r), build_comb(r, ell)),
+                          (p,), (r,), SINGLE_ROUND)
+    in_zr = per_trial[:, 0, 0, 0, :, F_IN_ZR]
     thin_mean, comb_mean = (float(np.mean(counts)) for counts in in_zr)
     thin_target = 0.5 * lam * r * r
     ok_thin = thin_mean >= thin_target

@@ -10,7 +10,8 @@ import pytest
 import boundaryvote
 from boundaryvote import harness
 from boundaryvote.cli import main, make_parser
-from boundaryvote.harness import CSV_COLUMNS
+from boundaryvote.geometry import region_xl, region_xs
+from boundaryvote.harness import CSV_COLUMNS, METRIC_FIELDS, mean_and_se
 
 
 FIG1_CFG = """\
@@ -59,6 +60,17 @@ class TestSimulate:
         assert main(["simulate", "--lambda", "500", "--p", "0.3", "--r", "0.03",
                      "--mode", "multi", "--trials", "1"]) == 0
         assert "rounds=5" in capsys.readouterr().out
+
+    def test_means_match_the_sweep_cell(self, capsys):
+        # simulate and sweep draw a cell's trials from the same fields at one seed
+        assert main(["simulate", "--region-type", "xl", "--lambda", "1500", "--p", "0.2",
+                     "--r", "0.04", "--trials", "4", "--seed", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        result = harness.sweep((0.02, 0.04), (0.1, 0.2), (1500.0,), (region_xs(), region_xl()),
+                               seed=5, trials=4)
+        cell = result.per_trial[1, 0, 1, 1]  # XL, p = 0.2, r = 0.04
+        assert lines == [f"{name}_mean={mean:.6g} se={se:.4g}"
+                         for name, (mean, se) in zip(METRIC_FIELDS, map(mean_and_se, cell.T))]
 
     def test_bound_only_rules_stay_out_of_its_check(self, capsys):
         # 4*pi*r^2 underflows at r = 1e-200, which only the bound table rejects; no sensor
@@ -373,6 +385,14 @@ class TestWorstcaseCommand:
         cells = lines[1].split(",")
         assert cells[0] == "thin"
         assert float(cells[7]) > 0  # errors_in_zr_mean
+
+    def test_ell_is_refused_for_the_thin_rectangle(self, monkeypatch, capsys):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a field before checking the options")
+
+        monkeypatch.setattr(harness, "sample_field", no_sampling)
+        assert main(["worstcase", "--shape", "thin", "--ell", "0.4", "--trials", "1"]) == 2
+        assert capsys.readouterr().err == "config error: --ell applies only to --shape comb\n"
 
     def test_comb(self, capsys):
         rc = main(["worstcase", "--shape", "comb", "--lambda", "4000",

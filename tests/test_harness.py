@@ -10,7 +10,8 @@ from boundaryvote import harness
 from boundaryvote.geometry import (build_comb, build_thin_rectangle, dubious_zone_area,
                                    region_xl, region_xs)
 from boundaryvote.harness import (CSV_COLUMNS, METRIC_FIELDS, _cells, best_radius,
-                                  compute_metrics, sweep, sweep_csv_string, trial_seed)
+                                  compute_metrics, run_units, sweep, sweep_csv_string,
+                                  trial_seed)
 from boundaryvote.vote import SINGLE_ROUND, VoteMode, multi_round_mode
 
 
@@ -218,6 +219,28 @@ class TestSweep:
         monkeypatch.setattr(harness, "sample_field", no_sampling)
         with pytest.raises(harness.GridError, match=message):
             sweep(*grid, (region_xs(),), seed=0, trials=1)
+
+
+class TestRunUnits:
+    # two lambdas and regions, and radii out of order with a repeat
+    GRID = dict(lam_values=(500.0, 800.0), regions=(region_xs(), region_xl()),
+                p_values=(0.1, 0.3), r_values=(0.05, 0.02, 0.05))
+
+    def units(self, mode=SINGLE_ROUND, workers=1):
+        return run_units(7, self.GRID["lam_values"], 3, self.GRID["regions"],
+                         self.GRID["p_values"], self.GRID["r_values"], mode, workers)
+
+    def test_shape_and_sweep_per_trial(self):
+        per_trial = self.units()
+        assert per_trial.shape == (2, 2, 2, 3, 3, len(METRIC_FIELDS))
+        result = sweep(seed=7, trials=3, **self.GRID)
+        assert np.array_equal(per_trial, result.per_trial)
+        assert np.array_equal(per_trial[:, :, :, 0], per_trial[:, :, :, 2])  # the repeated r
+
+    @pytest.mark.parametrize("mode", [SINGLE_ROUND, multi_round_mode(0.5)],
+                             ids=["single", "multi"])
+    def test_identical_for_any_worker_count(self, mode):
+        assert np.array_equal(self.units(mode, workers=1), self.units(mode, workers=2))
 
 
 class TestSweepDeterminism:
