@@ -109,7 +109,7 @@ def _vote_mode(cfg: dict, args):
         raise ConfigError(str(exc)) from exc
 
 
-def _one_cell(args) -> tuple:
+def _one_cell(args, workers: int = 1) -> tuple:
     """The checked (seed, lam, region, p, r, mode, trials) of a simulate or render run."""
     cfg = parse_config_file(args.config) if args.config else {}
     lam = _get(cfg, "lambda", args.lam, 600.0, float)
@@ -118,7 +118,7 @@ def _one_cell(args) -> tuple:
     seed = _get(cfg, "seed", args.seed, 0, int)
     trials = _get(cfg, "trials", args.trials, 1, int)
     mode = _vote_mode(cfg, args)
-    check_inputs((r,), (p,), (lam,), seed=seed, trials=trials)
+    check_inputs((r,), (p,), (lam,), seed=seed, trials=trials, workers=workers)
     if mode.kind == "multi":
         try:
             round_count(p, r, mode.c)
@@ -164,11 +164,11 @@ def _output(path):
 
 
 def cmd_simulate(args) -> int:
-    seed, lam, region, p, r, mode, trials = _one_cell(args)
+    seed, lam, region, p, r, mode, trials = _one_cell(args, args.workers)
     if args.dump_field:
         field, _, _ = next(_cells(seed, lam, 0, (region,), (p,), (r,), mode))
         write_field_csv(field, args.dump_field)
-    cell = run_units(seed, (lam,), trials, (region,), (p,), (r,), mode)[0, 0, 0, 0]
+    cell = run_units(seed, (lam,), trials, (region,), (p,), (r,), mode, args.workers)[0, 0, 0, 0]
     print(f"region={region.name} lambda={_fmt(lam)} p={_fmt(p)} "
           f"r={_fmt(r)} mode={mode.kind} trials={trials}")
     if mode.kind == "multi":
@@ -219,7 +219,7 @@ def cmd_worstcase(args) -> int:
     r = _get({}, "r", args.r, 0.05, float)
     trials = _get({}, "trials", args.trials, 200, int)
     seed = _get({}, "seed", args.seed, 0, int)
-    check_inputs((r,), (p,), (lam,), seed=seed, trials=trials)
+    check_inputs((r,), (p,), (lam,), seed=seed, trials=trials, workers=args.workers)
     if args.shape == "thin":
         if args.ell is not None:
             raise ConfigError("--ell applies only to --shape comb")
@@ -231,7 +231,8 @@ def cmd_worstcase(args) -> int:
         region = build_thin_rectangle(r) if args.shape == "thin" else build_comb(r, ell)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    per_trial = run_units(seed, (lam,), trials, (region,), (p,), (r,), SINGLE_ROUND)
+    per_trial = run_units(seed, (lam,), trials, (region,), (p,), (r,), SINGLE_ROUND,
+                          args.workers)
     metric = dict(zip(METRIC_FIELDS, per_trial[0, 0, 0, 0].T))  # name -> its trial values
     t2 = bounds_mod.thm2_upper(lam, r, region.perimeter, region.components)
     with _output(args.out) as fh:
@@ -265,6 +266,8 @@ def make_parser() -> argparse.ArgumentParser:
                                                     "comb"))),
                     *((f"--region-{name}", dict(type=float)) for name in (
                         "cx", "cy", "width", "height", "corner-radius", "r", "ell")))
+    workers = _group(("--workers", dict(type=int, default=1,
+                                        help="worker processes, each running whole fields")))
     one_cell = [config, lam_p, radius, seeding, voting, region]
 
     parser = argparse.ArgumentParser(
@@ -278,15 +281,15 @@ def make_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(func=func)
         return cmd
 
-    p_sim = command("simulate", cmd_simulate, one_cell, "run one configuration, print metrics")
+    p_sim = command("simulate", cmd_simulate, one_cell + [workers],
+                    "run one configuration, print metrics")
     p_sim.add_argument("--dump-field", help="write trial-0 field CSV here")
 
-    p_sweep = command("sweep", cmd_sweep, [config, seeding, voting], "grid sweep to CSV")
+    p_sweep = command("sweep", cmd_sweep, [config, seeding, voting, workers], "grid sweep to CSV")
     p_sweep.add_argument("--r-values", help="comma list (default: paper grid)")
     p_sweep.add_argument("--p-values", help="comma list (default: paper grid)")
     p_sweep.add_argument("--lambda-values", help="comma list (default: paper grid)")
     p_sweep.add_argument("--regions", default="xs,xl", help="comma list of xs,xl")
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", help="output CSV path (default stdout)")
     p_sweep.add_argument("--best-radius", action="store_true",
                          help="also print the best radius per p to stderr")
@@ -297,7 +300,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--lambda-values")
     p_bounds.add_argument("--out")
 
-    p_worst = command("worstcase", cmd_worstcase, [lam_p, radius, seeding],
+    p_worst = command("worstcase", cmd_worstcase, [lam_p, radius, seeding, workers],
                       "thin-rectangle / comb experiments")
     p_worst.add_argument("--shape", choices=("thin", "comb"), required=True)
     p_worst.add_argument("--ell", type=float)

@@ -99,6 +99,7 @@ def _cells(master_seed, lam, trial, regions, p_values, r_values, mode):
     is handed every (region, p) measurement vector first, so that it tallies
     them several to a word.
     """
+    _check_sampled((lam,))
     seed = trial_seed(master_seed, lam, trial)
     field = sample_field(lam, seed)
     # built before the measurements exist, so they miss the listing's peak
@@ -194,6 +195,16 @@ def check_inputs(r_values, p_values, lam_values, *, seed: int = 0, trials: int =
             raise GridError(f"r={r} must be positive")
 
 
+def _check_sampled(lam_values) -> None:
+    """Raise a GridError for a lambda too large to sample: sensor ids are int32.
+
+    The bounds take any finite lambda, so only the commands that sample check it.
+    """
+    for lam in lam_values:
+        if lam >= 2**31:
+            raise GridError(f"lambda={lam} must be below 2**31 to sample: sensor ids are int32")
+
+
 def bound_table(r_values, p_values, lam_values, regions) -> list:
     """Bound report of every grid cell, in sweep row order (region, lam, p, r).
 
@@ -225,8 +236,10 @@ def run_units(seed, lam_values, trials, regions, p_values, r_values, mode,
     Work units are (lam, trial) fields; each unit evaluates every region, p,
     and r on the same sampled positions. The units fill the array in fixed
     lam/trial order, so it is identical for any worker count. The caller
-    checks the inputs.
+    checks the inputs; a lambda too large to sample raises a GridError here,
+    before any field is sampled.
     """
+    _check_sampled(lam_values)
     per_trial = np.empty((len(regions), len(lam_values), len(p_values), len(r_values),
                           trials, len(METRIC_FIELDS)))
     units = [(li, t) for li in range(len(lam_values)) for t in range(trials)]

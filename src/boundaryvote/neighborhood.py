@@ -6,7 +6,7 @@ distance exactly r are neighbors. Each candidate pair's sum is computed
 once, and the same value decides both the test and the pair's radius bin.
 
 A field has one listing, built for a fixed, sorted set of unique radii. It
-holds the tally matrix B below, the neighbor counts, the tally words and
+holds the tally blocks B below, the neighbor counts, the tally words and
 one U, and nothing else: no (i, j) copy of its pairs and no bin per pair.
 Pairs are packed into one unsigned key, decoded by shifts and masks. With s
 the bit length of n - 1, the key is (i << s) | j. It is uint32 while
@@ -15,7 +15,7 @@ Sorting keys puts pairs in (i, j) order. A sorted key's row pointers, where
 each sensor's pairs start, are found by `searchsorted` for i << s, and its
 columns j are decoded in place, so a 32-bit key is its own int32 columns.
 Every id, column and row pointer is int32, so a listing of 2**31 pairs, or
-R*n >= 2**31 for R radii, raises OverflowError before B is allocated. A
+a field of 2**31 sensors, raises OverflowError before B is allocated. A
 `NeighborIndex` is a view of the listing at its k-th radius;
 `build_indexes` builds the listing and returns one view per radius.
 
@@ -43,44 +43,53 @@ ones, so the k-th radius's pairs are exactly those with bin <= k. Within
 each chunk, the accepted keys are partitioned by bin, and each bin keeps one
 piece per chunk. B's block k is bin k's pieces, joined, freed and sorted
 once. A lone radius, R = 1, has one bin: its keys fill one buffer sized by
-the candidate count, and sorted, they are B's columns, with no bin at all.
+the candidate count, and sorted, they are block 0's columns, with no bin at
+all.
 
 The listing answers `count_sums` and `counts` for all of its radii from one
-prefix tally. B is the (R*n, R*n) block-diagonal upper adjacency whose block
-k holds the pairs of bin k in (i, j) order: an entry at row k*n + i, column
-k*n + j for each such pair i < j, so it has one entry per pair, each an
-int32 one. With x a vector tiled R times, row k*n + i of B @ x + B.T @ x
-sums x over the neighbors of i in bin k. The cumulative sum over the radius
-axis of that (R, n) result is every radius's sums. `counts` is the tally of
-the all-ones vector. B and the counts are built with the listing, and the
-tally words when their vectors are handed over; only U waits for its first
-use.
+prefix tally. B is R separate n x n upper adjacencies, one block per radius
+bin: block k, B_k, holds the pairs of bin k in (i, j) order, an entry at row
+i, column j for each such pair i < j, with its own n + 1 row pointers. Row i
+of B_k @ x + B_k.T @ x sums x over the neighbors of i in bin k, and the
+cumulative sum of those R rows over k is every radius's sums. `counts` is
+the tally of the all-ones vector. B and the counts are built with the
+listing, and the tally words when their vectors are handed over; only U
+waits for its first use.
+
+B holds one int32 column per pair and nothing else per pair: every block's
+`data` is a view of one int32 ones buffer the size of the largest block,
+which on the paper's radii is the outer annulus, about a tenth of the
+pairs. Beside them are R*(n + 1) int32 row pointers and the (R, n) int64
+counts. A lambda = 10000 field on the paper's 20 radii holds about 6.1
+bytes per pair once it is built, and its build peaks at about 8.7, as
+tracemalloc counts them.
 
 A radius's CSR arrays are built in one place, the listing's U at that
 radius, and a view reads only B and that U. At k = 0, for any number of
-radii, U's arrays are B's block 0: its columns and its first n + 1 row
-pointers. At k >= 1 the keys of B's blocks 0..k are rebuilt, block by
-block, into one buffer, which is sorted once into (i, j) order. A view's
-pairs are U's columns beside the rows repeated by the row pointers, so no
-view keeps its i, and repeated reads at one radius sort at most once. The
-columns and the counts a view hands back are read-only, so writing into
-them cannot change B or a later sum.
+radii, U's arrays are B's block 0: its columns and its row pointers. At
+k >= 1 the keys of B's blocks 0..k are rebuilt, block by block, into one
+buffer, which is sorted once into (i, j) order. A view's pairs are U's
+columns beside the rows repeated by the row pointers, so no view keeps its
+i, and repeated reads at one radius sort at most once. The columns and the
+counts a view hands back are read-only, so writing into them cannot change
+B or a later sum.
 
 A tally word carries several 0/1 vectors at once. Every neighbor count at
 every radius is at most M, the widest radius's largest count, so a 0/1
 vector fits in a w-bit lane, w = M.bit_length(), and q = 31 // w lanes fit
-one int32 word: lane l of the word holds vector l shifted left by w*l. The
-int32 products and the prefix sum add lanes without a carry crossing one,
-because every partial sum of a lane is nonnegative and at most the lane's
-final count, which is at most M < 2**w; so (row >> w*l) & (2**w - 1) is
-vector l's exact sums. The vectors handed to `share_tallies` are packed q at
-a time, in the order given, and each word is tallied at once, so it is
-tallied once whatever order the views ask in. The listing keeps the (R, n)
-tally of every word until vectors are handed over again, ceil(V/q)*R*n*4
-bytes for V vectors, and finds each vector's word and lane by the vector's
-bytes. So a copy of a vector is answered from its word, and a vector changed
-in place is never answered from a stale tally. A vector that was not handed
-over is shared alone, in place of those before it.
+one int32 word: lane l of the word holds vector l shifted left by w*l. Each
+bin's int32 products and the prefix sum add lanes without a carry crossing
+one, because every partial sum of a lane, a bin's sum among them, is
+nonnegative and at most the lane's final count, which is at most M < 2**w;
+so (row >> w*l) & (2**w - 1) is vector l's exact sums. The vectors handed
+to `share_tallies` are packed q at a time, in the order given, and each word
+is tallied at once, so it is tallied once whatever order the views ask in.
+The listing keeps the (R, n) tally of every word until vectors are handed
+over again, ceil(V/q)*R*n*4 bytes for V vectors, and finds each vector's
+word and lane by the vector's bytes. So a copy of a vector is answered from
+its word, and a vector changed in place is never answered from a stale
+tally. A vector that was not handed over is shared alone, in place of those
+before it.
 
 Multi-round voting sums real scores with two sparse matrix-vector products,
 `weighted_sums(v) = U @ v + U.T @ v`. U is the upper adjacency in CSR form:
@@ -94,10 +103,10 @@ one U, the last one asked for, and drops it before it builds another, so
 one U is alive at a time and a caller that runs the views radius by radius
 builds each U once. Each U has its own float64 ones as its `data`.
 
-B.T and U.T are their matrix's three arrays read as CSC, so they copy
+Each B_k.T and U.T is its matrix's three arrays read as CSC, so it copies
 nothing. The arrays are set after construction because scipy's format check
-silently copies a view shorter than half of its base and may widen int32
-indices.
+silently copies a view shorter than half of its base, as most blocks' ones
+are, and may widen int32 indices.
 """
 from __future__ import annotations
 
@@ -195,7 +204,7 @@ def _sweep(positions: np.ndarray, reach: float) -> tuple[np.ndarray, ...]:
 def _check_int32(most: int) -> None:
     """Raise unless every id, listing position and row pointer up to most fits int32.
 
-    They would wrap, so a listing of 2**31 pairs, or of R*n >= 2**31 rows of B, raises.
+    They would wrap, so a listing of 2**31 pairs, or of 2**31 sensors, raises.
     """
     if most >= 2**31:
         raise OverflowError(f"{most} ids or pairs do not fit int32")
@@ -224,7 +233,7 @@ class _Listing:
         self.radii = radii  # sorted and unique: the last is the listing's own
         self.s = max(self.n - 1, 0).bit_length()  # bits of a sensor id in a packed key
         self.key_type = _key_type(2 * self.s)
-        self.block = self._block(self._list(positions))  # (B, B.T)
+        self.blocks = self._block(self._list(positions))  # (B_k, B_k.T) per bin
         self.counts = self.tally(np.ones(self.n, dtype=np.int32)).astype(np.int64)
         self.counts.flags.writeable = False  # so is each view's row of it
         self.w, self.q = _lanes(self.counts[-1].max(initial=0))
@@ -280,28 +289,25 @@ class _Listing:
             blocks[0].append(keys[:filled])
         return blocks
 
-    def _block(self, blocks: list[list[np.ndarray]]) -> tuple[sparse.csr_array, sparse.csc_array]:
-        """(B, B.T) from each bin's key pieces, which are freed as their block is written.
+    def _block(self, blocks: list[list[np.ndarray]]) -> list:
+        """[(B_k, B_k.T)] from each bin's key pieces, which are freed as their block is built.
 
-        Block k holds bin k's pairs, sorted, at rows k*n + i and columns k*n + j.
-        A 32-bit key is gathered, sorted and decoded in its block's own columns.
+        Block k holds bin k's pairs, sorted, with columns j and its own n + 1
+        row pointers. A 32-bit key is sorted and decoded in its own memory.
+        Every block's data is a view of one int32 ones buffer, built last.
         """
-        n, s, radii = self.n, self.s, len(self.radii)
+        n, s = self.n, self.s
         sizes = [sum(piece.size for piece in pieces) for pieces in blocks]
-        _check_int32(max(sum(sizes), radii * n))
-        columns = np.empty(sum(sizes), dtype=np.int32)
-        indptr = np.empty(radii * n + 1, dtype=np.int32)
-        stop = 0
-        for k, size in enumerate(sizes):
-            start, stop = stop, stop + size
-            out = columns[start:stop]
-            in_place = out.view(np.uint32) if self.key_type is np.uint32 else None
-            key = np.concatenate(blocks[k], out=in_place)
+        _check_int32(max(sum(sizes), n))
+        arrays = []
+        for k in range(len(blocks)):
+            key = np.concatenate(blocks[k])
             blocks[k] = None
-            block, pointers = _sorted_csr(key, s, n)
-            np.add(block, k * n, out=out)
-            np.add(pointers, start, out=indptr[k * n:(k + 1) * n + 1])
-        return _csr_and_csc(np.ones(columns.size, dtype=np.int32), columns, indptr)
+            columns, indptr = _sorted_csr(key, s, n)
+            columns.flags.writeable = False  # so are U's at k = 0
+            arrays.append((columns, indptr))
+        ones = np.ones(max(sizes), dtype=np.int32)
+        return [_csr_and_csc(ones[:size], *block) for size, block in zip(sizes, arrays)]
 
     def upper(self, k: int) -> tuple[sparse.csr_array, sparse.csc_array]:
         """(U, U.T) at the k-th radius: the one U held, built when another radius asks.
@@ -317,27 +323,30 @@ class _Listing:
             # the ones before the keys: in this order a lambda = 10000 multi
             # sweep peaked about 8 MB lower in resident memory
             ones = np.ones(int(self.counts[k].sum()) // 2)
-            n, s, (columns, indptr) = self.n, self.s, (self.block[0].indices, self.block[0].indptr)
+            n, s, first = self.n, self.s, self.blocks[0][0]
+            columns, indptr = first.indices, first.indptr
             if k:
                 key = np.empty(ones.size, dtype=self.key_type)
                 rows = np.arange(n, dtype=key.dtype) << s
-                for b in range(k + 1):
-                    block = key[indptr[b * n]:indptr[(b + 1) * n]]
-                    block[:] = columns[indptr[b * n]:indptr[(b + 1) * n]]
-                    block -= b * n
-                    block |= np.repeat(rows, np.diff(indptr[b * n:(b + 1) * n + 1]))
+                stop = 0
+                for block, _ in self.blocks[:k + 1]:
+                    start, stop = stop, stop + block.indices.size
+                    key[start:stop] = block.indices
+                    key[start:stop] |= np.repeat(rows, np.diff(block.indptr))
                 columns, indptr = _sorted_csr(key, s, n)
-            columns, indptr = columns[:ones.size], indptr[:n + 1]  # at k = 0, B's block 0
-            columns.flags.writeable = False
+                columns.flags.writeable = False
             self._upper = (k, *_csr_and_csc(ones, columns, indptr))
         return self._upper[1:]
 
     def tally(self, word: np.ndarray) -> np.ndarray:
-        """(R, n) int32 sums of an int32 word over the neighbors at every radius."""
-        upper, lower = self.block
-        x = np.tile(word, len(self.radii))
-        flat = upper @ x + lower @ x
-        return np.cumsum(flat.reshape(len(self.radii), self.n), axis=0, dtype=np.int32)
+        """(R, n) int32 sums of an int32 word over the neighbors at every radius.
+
+        Row k is the cumulative sum over bins 0..k of B_k @ word + B_k.T @ word.
+        """
+        sums = np.empty((len(self.blocks), self.n), dtype=np.int32)
+        for row, (upper, lower) in zip(sums, self.blocks):
+            np.add(upper @ word, lower @ word, out=row)
+        return np.cumsum(sums, axis=0, out=sums)
 
     def share(self, vectors) -> None:
         """Tally the 0/1 vectors q to a word, in the order given, in place of every earlier word.

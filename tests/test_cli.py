@@ -211,6 +211,39 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "config error: workers must be at least 1\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "worstcase"])
+    def test_nonpositive_workers_return_2_for_one_cell(self, command, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("made a process pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "sample_field", no_pool)
+        shape = ["--shape", "comb"] if command == "worstcase" else []
+        assert main([command, *shape, "--trials", "2", "--workers", "0"]) == 2
+        assert capsys.readouterr().err == "config error: workers must be at least 1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--lambda", "1e12", "--p", "0.1", "--r", "0.05"],
+        ["simulate", "--lambda", "1e12", "--dump-field", "unused.csv"],
+        ["render", "--lambda", "1e12", "--out", "unused.svg"],
+        ["worstcase", "--shape", "comb", "--lambda", "1e12", "--trials", "1"],
+        ["sweep", "--lambda-values", "100,2147483648", "--p-values", "0.1",
+         "--r-values", "0.05", "--trials", "1"],
+    ], ids=["simulate", "dump_field", "render", "worstcase", "sweep"])
+    def test_lambda_past_int32_sensor_ids_returns_2(self, argv, monkeypatch, capsys):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a field before checking lambda")
+
+        monkeypatch.setattr(harness, "sample_field", no_sampling)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: lambda=") and "must be below 2**31" in err
+
+    def test_bounds_take_lambda_past_int32_sensor_ids(self, capsys):
+        argv = ["bounds", "--lambda-values", "1e12", "--p-values", "0.1", "--r-values", "0.05"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("XS,1000000000000,0.1,0.05,")
+
     def test_unwritable_output_returns_3(self, capsys):
         rc = main(["sweep", "--lambda-values", "500", "--p-values", "0.1",
                    "--r-values", "0.05", "--regions", "xs", "--trials", "1",
@@ -238,6 +271,18 @@ class TestSweepCommand:
         assert main(args + ["--workers", "2"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--lambda", "900", "--trials", "3", "--seed", "4"],
+        ["simulate", "--lambda", "900", "--trials", "3", "--mode", "multi", "--p", "0.3"],
+        ["worstcase", "--shape", "comb", "--lambda", "2000", "--trials", "3", "--seed", "4"],
+    ], ids=["simulate", "simulate_multi", "worstcase"])
+    def test_one_cell_byte_identical_with_workers(self, argv, capsys):
+        outputs = []
+        for workers in ("1", "2"):
+            assert main(argv + ["--workers", workers]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0]
 
     @pytest.mark.parametrize("command, unread", [
         (["sweep"], ["--region-type", "comb", "--r", "0.2", "--p", "0.3", "--lambda", "600"]),
@@ -281,15 +326,15 @@ class TestOptions:
                    for name, cmd in commands.items()}
         grids = ["--r-values", "--p-values", "--lambda-values"]
         assert options == {
-            "simulate": ONE_CELL + ["--dump-field"],
-            "sweep": ["--config", "--seed", "--trials", "--mode", "--c", *grids, "--regions",
-                      "--workers", "--out", "--best-radius"],
+            "simulate": ONE_CELL + ["--workers", "--dump-field"],
+            "sweep": ["--config", "--seed", "--trials", "--mode", "--c", "--workers", *grids,
+                      "--regions", "--out", "--best-radius"],
             "bounds": ["--config", "--r", *ONE_CELL[8:], *grids, "--out"],
-            "worstcase": ["--lambda", "--p", "--r", "--seed", "--trials", "--shape", "--ell",
-                          "--out"],
+            "worstcase": ["--lambda", "--p", "--r", "--seed", "--trials", "--workers", "--shape",
+                          "--ell", "--out"],
             "render": ONE_CELL + ["--trial", "--out"],
         }
-        assert sum(map(len, options.values())) == 69
+        assert sum(map(len, options.values())) == 71
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--lambda-values", "100", "--r-values", "0.05", "--p-values", "0.1",

@@ -161,9 +161,9 @@ class TestBuildIndexes:
                 index.weighted_sums(values.astype(float))
             assert calls == {"listings": 1, "row_pointers": passes}, radii
 
-    def test_listing_holds_under_11_and_peaks_under_13_bytes_per_pair(self):
-        # B and the counts, with no (i, j) copy and no bin per pair beside them;
-        # the keys of B's blocks are sorted in B's own columns
+    def test_listing_holds_under_7_peaks_under_10_bytes_per_pair(self):
+        # B's columns and a ones buffer the size of its largest block, and the
+        # counts, with no (i, j) copy and no bin per pair beside them
         field = sample_field(10000.0, seed=3)
         tracemalloc.start()
         try:
@@ -172,8 +172,8 @@ class TestBuildIndexes:
         finally:
             tracemalloc.stop()
         pairs = int(indexes[-1].counts.sum()) // 2
-        assert held < 11 * pairs, held / pairs
-        assert peak < 13 * pairs, peak / pairs
+        assert held < 7 * pairs, held / pairs
+        assert peak < 10 * pairs, peak / pairs
 
 
 def tree_pairs(positions, r):
@@ -450,7 +450,7 @@ class TestPrefixTally:
         assert columns.tolist() == [1, 0, top] and indptr.tolist() == [0, 1, 1, 3]
 
     def test_index_past_int32_raises(self):
-        _check_int32(2**31 - 1)  # the largest pair count or B row count that fits
+        _check_int32(2**31 - 1)  # the largest pair count or sensor count that fits
         with pytest.raises(OverflowError):
             _check_int32(2**31)
 
@@ -766,15 +766,64 @@ class TestOneSort:
         rng = np.random.default_rng(89)
         field = make_field(rng.random(600), rng.random(600))
         smallest, wide = build_indexes(field, (0.03, 0.08))
-        b = smallest._listing.block[0]
+        block = smallest._listing.blocks[0][0]
         sorts.clear()
         for matrix in smallest._listing.upper(0):
-            assert np.shares_memory(matrix.indices, b.indices)
-            assert np.shares_memory(matrix.indptr, b.indptr)
+            assert np.shares_memory(matrix.indices, block.indices)
+            assert np.shares_memory(matrix.indptr, block.indptr)
+            assert matrix.indptr.size == field.n + 1
         assert sorts == []
         for index in (smallest, wide):
             got, want = index.pairs, build_index(field, index.r).pairs
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+class TestBlocks:
+    """B is one n x n block per radius bin, whose data share one buffer of ones."""
+
+    def test_blocks_read_one_ones_buffer_of_the_largest_size(self):
+        rng = np.random.default_rng(101)
+        field = make_field(rng.random(800), rng.random(800))
+        listing = build_indexes(field, PAPER_R_GRID)[0]._listing
+        sizes = [upper.indices.size for upper, _ in listing.blocks]
+        base = listing.blocks[0][0].data.base
+        assert base.dtype == np.int32 and base.size == max(sizes) and np.all(base == 1)
+        pairs = 0
+        for (upper, lower), size in zip(listing.blocks, sizes):
+            assert upper.shape == lower.shape == (field.n, field.n)
+            assert upper.data.base is base and lower.data is upper.data
+            assert upper.data.size == size and lower.indices is upper.indices
+            assert upper.indptr.size == field.n + 1 and upper.indptr[-1] == size
+            pairs += size
+        assert pairs == listing.counts[-1].sum() // 2
+
+    @pytest.mark.parametrize("x, y, radii", [
+        ([], [], (0.1, 0.05)),  # no sensors
+        ([0.1, 0.9], [0.1, 0.9], (0.05, 0.2, 0.3)),  # two sensors that no radius joins
+        ([0.5, 0.5, 0.56], [0.5, 0.5, 0.5], (0.02, 0.03, 0.04, 0.08)),  # two empty bins
+    ], ids=["no_sensors", "far_apart", "empty_bins"])
+    def test_empty_blocks(self, x, y, radii):
+        field = make_field(x, y)
+        indexes = build_indexes(field, radii)
+        listing = indexes[0]._listing
+        word = np.ones(field.n, dtype=np.int32)
+        for index in indexes:
+            fresh = brute_force_neighbors(field, index.r)
+            want = np.array([ids.size for ids in fresh], dtype=np.int64)
+            assert np.array_equal(index.counts, want), index.r
+            assert np.array_equal(index.count_sums(np.ones(field.n, dtype=bool)), want)
+            assert np.array_equal(index.weighted_sums(np.ones(field.n)), want.astype(float))
+            i, j = index.pairs
+            assert i.size == j.size == want.sum() // 2
+        tally, below, empty = listing.tally(word), np.zeros(field.n, dtype=np.int32), 0
+        for (upper, lower), row in zip(listing.blocks, tally):
+            if upper.indices.size == 0:  # an empty bin adds nothing to the prefix tally
+                assert not (upper @ word + lower @ word).any()
+                assert np.array_equal(row, below)
+                empty += 1
+            below = row
+        assert empty >= 2
+        assert not listing.tally(np.zeros(field.n, dtype=np.int32)).any()
 
 
 class TestTallyCount:
